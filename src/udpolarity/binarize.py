@@ -12,6 +12,7 @@ the closer to the root it ends up.
 from importlib import resources
 
 from .conllu import Token, children_of, graph_root
+from .polarity import Polarity
 
 DEFAULT_UNKNOWN_LEVEL = 45
 
@@ -65,7 +66,7 @@ class BinaryDepTree:
     construction; everything else is fixed when the tree is built.
     """
 
-    __slots__ = ("val", "left", "right", "mark", "parent", "_min_id")
+    __slots__ = ("val", "left", "right", "mark", "parent", "_min_id", "_leaves")
 
     def __init__(self, val, left=None, right=None):
         self.val = val
@@ -73,13 +74,13 @@ class BinaryDepTree:
         self.right = right
         self.mark = None
         self.parent = None
-        for child in (left, right):
-            if child is not None:
-                child.parent = self
-        if self.is_leaf:
+        self._leaves = None
+        if left is None and right is None:
             self._min_id = val.id if isinstance(val, Token) else 0
         else:
-            self._min_id = min(left._min_id, right._min_id)
+            left.parent = self
+            right.parent = self
+            self._min_id = left._min_id if left._min_id < right._min_id else right._min_id
 
     @property
     def is_leaf(self):
@@ -98,17 +99,37 @@ class BinaryDepTree:
         return self._min_id
 
     def leaves(self):
-        if self.is_leaf:
-            yield self
-        else:
-            yield from self.left.leaves()
-            yield from self.right.leaves()
+        """The leaves left to right, as a tuple.
+
+        A root keeps its tuple, so the stages after binarization share one
+        walk; a subtree walks again on every call, which keeps memory
+        linear in the sentence.
+        """
+        if self._leaves is not None:
+            return self._leaves
+        out = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node.left is None:
+                out.append(node)
+            else:
+                stack.append(node.right)
+                stack.append(node.left)
+        out = tuple(out)
+        if self.parent is None:
+            self._leaves = out
+        return out
 
     def nodes(self):
-        yield self
-        if not self.is_leaf:
-            yield from self.left.nodes()
-            yield from self.right.nodes()
+        """Every node of the subtree in preorder (node, left, right)."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            if node.left is not None:
+                stack.append(node.right)
+                stack.append(node.left)
 
     def head_leaf(self):
         """The lexical head: follow the right spine down to its leaf."""
@@ -147,8 +168,11 @@ def refine_relation(deprel, head, dependent, graph):
 
 def _subtree_min_id(graph, token):
     lo = token.id
-    for _, child in children_of(graph, token):
-        lo = min(lo, _subtree_min_id(graph, child))
+    stack = [token]
+    while stack:
+        for _, child in children_of(graph, stack.pop()):
+            lo = min(lo, child.id)
+            stack.append(child)
     return lo
 
 
@@ -185,22 +209,28 @@ def binarize(graph, hierarchy=None):
             out.append((label, child))
         return out
 
-    def compose(token, remaining):
-        if not remaining:
-            return BinaryDepTree(token)
-        (label, top), rest = remaining[0], remaining[1:]
-        left = compose(top, sort_children(refined_children(top), hierarchy))
-        right = compose(token, rest)
-        return BinaryDepTree(label, left, right)
-
-    return compose(root, sort_children(refined_children(root), hierarchy))
+    # breadth first over the dependency tree (the loop also visits the
+    # tokens appended during it); composing in reverse order builds every
+    # dependent's subtree before its head's spine needs it
+    tokens = [root]
+    dependents = []
+    for token in tokens:
+        sorted_deps = sort_children(refined_children(token), hierarchy)
+        dependents.append(sorted_deps)
+        tokens += [child for _, child in sorted_deps]
+    built = {}
+    for token, sorted_deps in zip(reversed(tokens), reversed(dependents)):
+        node = BinaryDepTree(token)
+        for label, child in reversed(sorted_deps):
+            node = BinaryDepTree(label, built.pop(child.id), node)
+        built[token.id] = node
+    return built[root.id]
 
 
 ASCII_MARKS = {None: "", "UP": "^", "DOWN": " v", "FLAT": "="}
 
 
-def _mark_suffix(mark):
-    return ASCII_MARKS[mark.name if mark is not None else None]
+_SUFFIX = {None: "", **{mark: ASCII_MARKS[mark.name] for mark in Polarity}}
 
 
 def to_sexpression(tree):
@@ -209,17 +239,21 @@ def to_sexpression(tree):
     Marks, when present, are appended to every item: '^' for monotone,
     ' v' for antitone, '=' for no-information.
     """
-    if tree.is_leaf:
-        return tree.val.form + _mark_suffix(tree.mark)
-    first, second = tree.left, tree.right
-    if second.min_token_id < first.min_token_id:
-        first, second = second, first
-    return "(%s%s %s %s)" % (
-        tree.val,
-        _mark_suffix(tree.mark),
-        to_sexpression(first),
-        to_sexpression(second),
-    )
+    parts = []
+    stack = [tree]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            parts.append(item)
+        elif item.left is None:
+            parts.append(item.val.form + _SUFFIX[item.mark])
+        else:
+            first, second = item.left, item.right
+            if second._min_id < first._min_id:
+                first, second = second, first
+            parts.append("(" + item.val + _SUFFIX[item.mark] + " ")
+            stack += (")", second, " ", first)
+    return "".join(parts)
 
 
 class SexprNode:
@@ -244,8 +278,6 @@ class SexprNode:
 
 def parse_sexpression(text):
     """Parse the textual s-expression form back into a SexprNode tree."""
-    from .polarity import Polarity
-
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     pos = 0
 

@@ -17,7 +17,7 @@ import sys
 
 from . import evaluation as ev
 from .binarize import RelationHierarchy, binarize
-from .conllu import ConlluError, parse_conllu
+from .conllu import ConlluError, parse_conllu, sentence_blocks
 from .lexicon import LexiconError, load_lexicon
 from .polarize import polarize, project_to_tokens
 from .render import render
@@ -79,11 +79,9 @@ def _parse_input(text, lenient, err):
     if not lenient:
         return parse_conllu(text)
     graphs = []
-    for block in text.split("\n\n"):
-        if not block.strip():
-            continue
+    for line, ordinal, lines in sentence_blocks(text):
         try:
-            graphs.extend(parse_conllu(block))
+            graphs.extend(parse_conllu("\n".join(lines), line, ordinal))
         except ConlluError as exc:
             print(f"skipping sentence: {exc}", file=err)
     return graphs

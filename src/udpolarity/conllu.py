@@ -90,16 +90,19 @@ def _validate(tokens, label):
             )
         if t.head >= 0 and not t.deprel:
             raise ValidationError(f"sentence {label}: token {t.id} lacks a deprel")
-    # every token must reach the root; anything left over sits on a cycle
+    # every token must reach the root; anything left over sits on a cycle.
+    # Each walk up the heads colours the tokens it passes with its own
+    # number and stops at the first coloured one: an earlier colour is known
+    # to reach the root, its own colour closes a cycle.
     parent = {t.id: t.head for t in tokens}
-    for t in tokens:
-        seen = set()
+    colour = {0: -1}
+    for walk, t in enumerate(tokens):
         cur = t.id
-        while cur != 0:
-            if cur in seen:
-                raise ValidationError(f"sentence {label}: cycle through token {cur}")
-            seen.add(cur)
+        while cur not in colour:
+            colour[cur] = walk
             cur = parent[cur]
+        if colour[cur] == walk:
+            raise ValidationError(f"sentence {label}: cycle through token {cur}")
 
 
 def _parse_token_line(line, lineno):
@@ -129,38 +132,41 @@ def _parse_token_line(line, lineno):
     )
 
 
-def parse_conllu(text):
-    """Parse CoNLL-U text into a list of DependencyGraph, one per sentence."""
-    graphs = []
+def sentence_blocks(text, first_line=1, first_sentence=1):
+    """Split CoNLL-U text into sentence blocks.
+
+    A block ends at an empty or whitespace-only line; blocks of comments
+    alone hold no sentence and are dropped. Yields (line, ordinal, lines):
+    the input line number of the block's first line, the block's position
+    among the sentences, and its lines. Both count from `first_line` and
+    `first_sentence`, for text that is a piece of a larger input.
+    """
+    lines = []
+    start = ordinal = 0
+    is_sentence = False  # the block has a line other than a comment
+    for lineno, line in enumerate(text.splitlines(), start=first_line):
+        if line.strip():
+            if not lines:
+                start = lineno
+            lines.append(line)
+            is_sentence = is_sentence or line[0] != "#"
+            continue
+        if is_sentence:
+            yield start, first_sentence + ordinal, lines
+            ordinal += 1
+        lines = []
+        is_sentence = False
+    if is_sentence:
+        yield start, first_sentence + ordinal, lines
+
+
+def _parse_block(lines, first_line, ordinal):
+    """One sentence block -> DependencyGraph, or None when every token line
+    is a multiword range or an empty node."""
     tokens = []
     sent_text = None
     sent_id = None
-    n_sentences = 0
-
-    def flush():
-        nonlocal tokens, sent_text, sent_id, n_sentences
-        if not tokens and sent_text is None and sent_id is None:
-            return
-        if tokens:
-            n_sentences += 1
-            label = sent_id or str(n_sentences)
-            _validate(tokens, label)
-            graphs.append(
-                DependencyGraph(
-                    tokens=list(tokens),
-                    sentence_text=sent_text or " ".join(t.form for t in tokens),
-                    sent_id=sent_id or str(n_sentences),
-                )
-            )
-        tokens = []
-        sent_text = None
-        sent_id = None
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\n")
-        if not line.strip():
-            flush()
-            continue
+    for lineno, line in enumerate(lines, start=first_line):
         if line.startswith("#"):
             body = line[1:].strip()
             if body.startswith("text") and "=" in body:
@@ -171,7 +177,29 @@ def parse_conllu(text):
         tok = _parse_token_line(line, lineno)
         if tok is not None:
             tokens.append(tok)
-    flush()
+    if not tokens:
+        return None
+    sent_id = sent_id or str(ordinal)
+    _validate(tokens, sent_id)
+    return DependencyGraph(
+        tokens=tokens,
+        sentence_text=sent_text or " ".join(t.form for t in tokens),
+        sent_id=sent_id,
+    )
+
+
+def parse_conllu(text, first_line=1, first_sentence=1):
+    """Parse CoNLL-U text into a list of DependencyGraph, one per sentence.
+
+    Errors name the input line, or the sentence by its sent_id or, without
+    one, its position; `first_line` and `first_sentence` are the numbers of
+    the text's first line and sentence (see sentence_blocks).
+    """
+    graphs = []
+    for line, ordinal, lines in sentence_blocks(text, first_line, first_sentence):
+        graph = _parse_block(lines, line, ordinal)
+        if graph is not None:
+            graphs.append(graph)
     return graphs
 
 

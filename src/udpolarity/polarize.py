@@ -20,6 +20,11 @@ and then applies whatever negation/equalization its relation calls for:
 
 Complement relations finally negate their dependent when the governing
 predicate is a downward-entailing implicative ("refused to go").
+
+A rule is a generator: it yields each child to polarize, in its own order,
+and resumes once that child's whole subtree is done. The polarizer keeps
+the rules in progress on an explicit stack, so tree depth is bounded by
+memory, not by the interpreter's recursion limit.
 """
 
 from dataclasses import dataclass
@@ -222,17 +227,24 @@ class _Run:
         self.tokens_by_id = {leaf.val.id: leaf.val for leaf in tree.leaves()}
         if tree.mark is None:
             tree.mark = Polarity.UP
-        self.visit(tree)
+        if tree.left is not None:
+            self.visit(tree)
         for node in tree.nodes():
             if node.mark is None:
                 raise MarkError("polarization left a node unmarked")
         return tree
 
     def visit(self, node):
-        if node.is_leaf:
-            return
-        rule = self.rules.lookup(node.val)
-        rule(self, node)
+        """Run the rule of an internal node and, depth first, the rules of
+        the nodes it yields, keeping the rules in progress on a stack."""
+        lookup = self.rules.lookup
+        stack = [lookup(node.val)(self, node)]
+        while stack:
+            child = next(stack[-1], None)
+            if child is None:
+                stack.pop()
+            elif child.left is not None:
+                stack.append(lookup(child.val)(self, child))
 
 
 def rule_default(run, node):
@@ -241,8 +253,8 @@ def rule_default(run, node):
     fires only when the head's mark moved away from the inherited one;
     plain inheritance of an antitone context must not self-trigger."""
     base = _inherit(node)
-    run.visit(node.left)
-    run.visit(node.right)
+    yield node.left
+    yield node.right
     if node.right.mark is not base:
         if node.right.mark is Polarity.DOWN:
             negate_subtree(node.left)
@@ -257,26 +269,26 @@ def rule_subject(run, node):
     before recursing into it (applying it afterwards would re-flip marks a
     negation quantifier just set)."""
     base = _inherit(node)
-    run.visit(node.right)
+    yield node.right
     if node.right.mark is not base:
         if node.right.mark is Polarity.DOWN:
             node.left.mark = node.left.mark.flipped()
         elif node.right.mark is Polarity.FLAT:
             node.left.mark = Polarity.FLAT
-    run.visit(node.left)
+    yield node.left
 
 
 def rule_complement(run, node):
     """Object/clausal-complement relations: like subjects, plus the
     downward-implicative check on the governing predicate."""
     base = _inherit(node)
-    run.visit(node.right)
+    yield node.right
     if node.right.mark is not base:
         if node.right.mark is Polarity.DOWN:
             node.left.mark = node.left.mark.flipped()
         elif node.right.mark is Polarity.FLAT:
             node.left.mark = Polarity.FLAT
-    run.visit(node.left)
+    yield node.left
     verb = node.right.head_leaf().val
     if is_downward_operator(verb.lemma or verb.form, run.lexicon):
         negate_subtree(node.left)
@@ -288,8 +300,8 @@ def rule_clause_mod(run, node):
     flattened according to the modified head's mark."""
     node.right.mark = node.mark if node.mark is not None else Polarity.UP
     node.left.mark = Polarity.UP
-    run.visit(node.right)
-    run.visit(node.left)
+    yield node.right
+    yield node.left
     if node.right.mark is Polarity.DOWN:
         negate_subtree(node.left)
     elif node.right.mark is Polarity.FLAT:
@@ -311,8 +323,8 @@ def rule_determiner(run, node):
     if profile is not None:
         run.suppressed |= covered
         node.right.mark = profile.first_arg
-        run.visit(node.left)
-        run.visit(node.right)
+        yield node.left
+        yield node.right
         if node.parent is not None:
             if profile.second_arg is Polarity.DOWN:
                 topdown_negation(node, strict=False)
@@ -322,12 +334,12 @@ def rule_determiner(run, node):
     if node.label == "nummod" and node.left.head_leaf().val.upos == "NUM":
         node.left.mark = node.left.mark.flipped()
         node.right.mark = node.mark if node.mark is not None else Polarity.UP
-        run.visit(node.left)
-        run.visit(node.right)
+        yield node.left
+        yield node.right
         return
     node.right.mark = Polarity.UP  # unknown determiner: existential reading
-    run.visit(node.left)
-    run.visit(node.right)
+    yield node.left
+    yield node.right
 
 
 def rule_adverbial(run, node):
@@ -335,8 +347,8 @@ def rule_adverbial(run, node):
     negation operator ("not", "without", "than") can negate its sibling;
     otherwise the forward reactions to the dependent's mark apply."""
     base = _inherit(node)
-    run.visit(node.right)
-    run.visit(node.left)
+    yield node.right
+    yield node.left
     if apply_word_rule(node.left, run.lexicon, run.suppressed):
         return
     if node.left.mark is not base:
@@ -349,8 +361,8 @@ def rule_adverbial(run, node):
 def rule_mark(run, node):
     """Clause markers: "if" negates the antecedent clause it introduces."""
     _inherit(node)
-    run.visit(node.right)
-    run.visit(node.left)
+    yield node.right
+    yield node.left
     apply_word_rule(node.left, run.lexicon, run.suppressed)
 
 

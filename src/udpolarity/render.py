@@ -44,27 +44,25 @@ def render_dot(annotated, index=0):
     lines = [f"digraph sentence_{index} {{"]
     lines.append('  node [shape=box, fontname="Helvetica"];')
     lines.append("  ordering=out;")
-    counter = 0
-    ids = {}
-
-    def visit(node):
-        nonlocal counter
-        ids[id(node)] = f"n{counter}"
-        counter += 1
-        me = ids[id(node)]
-        mark = "" if node.mark is None else " " + node.mark.pretty
-        if node.is_leaf:
-            label = _dot_escape(node.val.form) + mark
+    ids = {}  # id(node) -> DOT name, numbered in preorder
+    # a (parent name, child) pair stands for the edge, written once the
+    # child's whole subtree has been written
+    stack = [annotated.tree]
+    while stack:
+        item = stack.pop()
+        if type(item) is tuple:
+            me, child = item
+            lines.append(f"  {me} -> {ids[id(child)]};")
+            continue
+        me = ids[id(item)] = f"n{len(ids)}"
+        mark = "" if item.mark is None else " " + item.mark.pretty
+        if item.left is None:
+            label = _dot_escape(item.val.form) + mark
             lines.append(f'  {me} [label="{label}", shape=plaintext];')
         else:
-            label = _dot_escape(node.val) + mark
+            label = _dot_escape(item.val) + mark
             lines.append(f'  {me} [label="{label}"];')
-            for child in (node.left, node.right):
-                child_id = visit(child)
-                lines.append(f"  {me} -> {child_id};")
-        return me
-
-    visit(annotated.tree)
+            stack += ((me, item.right), item.right, (me, item.left), item.left)
     lines.append("}")
     return "\n".join(lines)
 

@@ -1,3 +1,4 @@
+import importlib.util
 import pathlib
 
 import pytest
@@ -13,6 +14,20 @@ from udpolarity import (
 )
 
 DATA = pathlib.Path(__file__).parent / "data"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load_perfbench_workloads():
+    """The benchmark's input generators, read from perfbench/ as they are."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load_perfbench_workloads()
 
 
 def conllu_block(rows, sent_id="s1", text=None):

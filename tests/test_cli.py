@@ -209,3 +209,66 @@ def test_custom_lexicon_flag(tmp_path):
     code, out, _ = run_cli(["polarize", "--lexicon", quant, conllu])
     assert code == 0
     assert out.strip() == "All↑ dogs= eat= food="
+
+
+def _rows_line(i, form, head, rel):
+    return f"{i}\t{form}\t{form}\tX\t_\t_\t{head}\t{rel}\t_\t_"
+
+
+def test_lenient_whitespace_separator_keeps_neighbours(tmp_path):
+    valid = FIG1.replace("fig1", "a")
+    invalid = "1\tonly\tthree\n"
+    text = valid + "  \n" + invalid + " \t\n" + FIG1.replace("fig1", "c")
+    path = write(tmp_path, "spaces.conllu", text)
+    code, out, err = run_cli(["polarize", "--lenient", path])
+    assert code == 0
+    assert out.splitlines() == ["All↑ dogs↓ eat↑ food↑"] * 2
+    assert err.splitlines() == ["skipping sentence: line 8: expected 10 columns, got 3"]
+
+
+LOCATED_ERRORS = "\n".join(
+    [
+        _rows_line(1, "dogs", 2, "nsubj"),  # line 1
+        _rows_line(2, "run", 0, "root"),
+        "",
+        "# sent_id = two",  # line 4
+        _rows_line(1, "a", 0, "root"),
+        _rows_line(2, "b", 3, "dep"),
+        _rows_line(3, "c", 2, "dep"),
+        "",
+        _rows_line(1, "x", 0, "root"),  # line 9
+        _rows_line(2, "y", "z", "dep"),
+        "",
+        _rows_line(1, "p", 0, "root"),  # line 12: the 4th sentence, no sent_id
+        _rows_line(2, "q", 2, "dep"),
+    ]
+) + "\n"
+
+
+def test_lenient_errors_name_absolute_line_and_sentence(tmp_path):
+    path = write(tmp_path, "located.conllu", LOCATED_ERRORS)
+    code, out, err = run_cli(["polarize", "--lenient", path])
+    assert code == 0
+    assert out.splitlines() == ["dogs↑ run↑"]
+    assert err.splitlines() == [
+        "skipping sentence: sentence two: cycle through token 2",
+        "skipping sentence: line 10: non-integer head 'z'",
+        "skipping sentence: sentence 4: token 2 is its own head",
+    ]
+
+
+def test_strict_errors_name_the_same_locations(tmp_path):
+    # strict mode stops at the first invalid sentence, so mend the earlier
+    # ones in place, keeping every line number and sentence position
+    fixes = [
+        (_rows_line(2, "b", 3, "dep"), _rows_line(2, "b", 1, "dep")),
+        (_rows_line(2, "y", "z", "dep"), _rows_line(2, "y", 1, "dep")),
+    ]
+    text = LOCATED_ERRORS
+    for step, expected in enumerate(("sentence two", "line 10", "sentence 4")):
+        if step:
+            text = text.replace(*fixes[step - 1])
+        path = write(tmp_path, f"strict{step}.conllu", text)
+        code, _out, err = run_cli(["polarize", path])
+        assert code == 1
+        assert err.startswith(f"error: {expected}:"), err
