@@ -51,11 +51,7 @@ from .lexicon import (
 from .polarity import (
     MarkError,
     Polarity,
-    backward_equalization,
-    backward_negation,
     equalize_subtree,
-    forward_equalization,
-    forward_negation,
     negate_subtree,
     topdown_equalization,
     topdown_negation,
@@ -93,14 +89,10 @@ __all__ = [
     "ValidationError",
     "align",
     "apply_word_rule",
-    "backward_equalization",
-    "backward_negation",
     "binarize",
     "children_of",
     "equalize_subtree",
     "evaluate",
-    "forward_equalization",
-    "forward_negation",
     "graph_root",
     "is_downward_operator",
     "is_key_token",

@@ -12,7 +12,7 @@ the closer to the root it ends up.
 from importlib import resources
 
 from .conllu import Token, children_of, graph_root
-from .polarity import Polarity
+from .polarity import Polarity, push
 
 DEFAULT_UNKNOWN_LEVEL = 45
 
@@ -62,17 +62,20 @@ class RelationHierarchy:
 class BinaryDepTree:
     """Node of a binarized parse: relation label inside, token at a leaf.
 
-    `mark` holds the polarity and is the only slot mutated after
-    construction; everything else is fixed when the tree is built.
+    `mark` holds the polarity and `pending` the polarity operator still
+    to be applied to the node's descendants (see polarity.py); they are the
+    only slots mutated after construction, everything else is fixed when
+    the tree is built.
     """
 
-    __slots__ = ("val", "left", "right", "mark", "parent", "_min_id", "_leaves")
+    __slots__ = ("val", "left", "right", "mark", "pending", "parent", "_min_id", "_leaves")
 
     def __init__(self, val, left=None, right=None):
         self.val = val
         self.left = left
         self.right = right
         self.mark = None
+        self.pending = None
         self.parent = None
         self._leaves = None
         if left is None and right is None:
@@ -103,7 +106,8 @@ class BinaryDepTree:
 
         A root keeps its tuple, so the stages after binarization share one
         walk; a subtree walks again on every call, which keeps memory
-        linear in the sentence.
+        linear in the sentence. Leaf marks are final once `nodes()` has
+        walked the tree, as polarize() does.
         """
         if self._leaves is not None:
             return self._leaves
@@ -122,14 +126,29 @@ class BinaryDepTree:
         return out
 
     def nodes(self):
-        """Every node of the subtree in preorder (node, left, right)."""
+        """Every node of the subtree in preorder (node, left, right).
+
+        The pending operators of the node's ancestors, and of each node
+        before it is yielded, are pushed down first, so the marks read are
+        those an eager rewrite of every subtree would give.
+        """
+        path = []
+        node = self.parent
+        while node is not None:
+            path.append(node)
+            node = node.parent
+        for node in reversed(path):
+            if node.pending is not None:
+                push(node)
         stack = [self]
         while stack:
             node = stack.pop()
-            yield node
             if node.left is not None:
+                if node.pending is not None:
+                    push(node)
                 stack.append(node.right)
                 stack.append(node.left)
+            yield node
 
     def head_leaf(self):
         """The lexical head: follow the right spine down to its leaf."""

@@ -27,14 +27,15 @@ EXIT_ERROR = 1
 EXIT_ALIGNMENT = 2
 
 
-def _read_input(paths):
+def _read_inputs(paths):
+    """(path, text) of each input file, or of stdin when there is none."""
     if not paths:
-        return sys.stdin.read()
-    chunks = []
+        return [("<stdin>", sys.stdin.read())]
+    inputs = []
     for path in paths:
         with open(path, encoding="utf-8") as f:
-            chunks.append(f.read())
-    return "\n".join(chunks)
+            inputs.append((path, f.read()))
+    return inputs
 
 
 _WORKER_STATE = {}
@@ -74,23 +75,34 @@ def _annotate_all(graphs, fmt, hierarchy_path, lexicon_paths, jobs):
         return list(pool.map(_annotate_one, tasks))
 
 
-def _parse_input(text, lenient, err):
-    """Parse CoNLL-U, optionally skipping invalid sentences."""
-    if not lenient:
-        return parse_conllu(text)
+def _parse_input(paths, lenient, err):
+    """Parse the CoNLL-U inputs, optionally skipping invalid sentences.
+
+    Each file is split into sentences on its own, so lines and sentence
+    positions in errors count within the file, which errors name when
+    there are several.
+    """
+    inputs = _read_inputs(paths)
     graphs = []
-    for line, ordinal, lines in sentence_blocks(text):
-        try:
-            graphs.extend(parse_conllu("\n".join(lines), line, ordinal))
-        except ConlluError as exc:
-            print(f"skipping sentence: {exc}", file=err)
+    for path, text in inputs:
+        where = f"{path}: " if len(inputs) > 1 else ""
+        if not lenient:
+            try:
+                graphs += parse_conllu(text)
+            except ConlluError as exc:
+                raise ConlluError(f"{where}{exc}") from None
+            continue
+        for line, ordinal, lines in sentence_blocks(text):
+            try:
+                graphs += parse_conllu("\n".join(lines), line, ordinal)
+            except ConlluError as exc:
+                print(f"skipping sentence: {where}{exc}", file=err)
     return graphs
 
 
 def cmd_polarize(args, out, err):
     try:
-        text = _read_input(args.paths)
-        graphs = _parse_input(text, args.lenient, err)
+        graphs = _parse_input(args.paths, args.lenient, err)
         rendered = _annotate_all(
             graphs, args.format, args.hierarchy, tuple(args.lexicon), args.jobs
         )
@@ -106,8 +118,7 @@ def cmd_polarize(args, out, err):
 
 def cmd_eval(args, out, err):
     try:
-        text = _read_input(args.paths)
-        graphs = _parse_input(text, args.lenient, err)
+        graphs = _parse_input(args.paths, args.lenient, err)
         gold = ev.load_gold(args.gold)
         _worker_init(args.hierarchy, tuple(args.lexicon))
         annotated = []

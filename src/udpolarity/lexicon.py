@@ -7,6 +7,7 @@ and multi-word surface forms are supported throughout.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 
 from .polarity import Polarity
@@ -58,6 +59,12 @@ class Lexicon:
     def max_phrase_len(self):
         keys = list(self.quantifiers) + list(self.comparatives) + list(self.negation_words)
         return max((len(k) for k in keys), default=1)
+
+    @cached_property
+    def longest_negation(self):
+        """Word count of the longest negation phrase, counted on first use:
+        add negation phrases before polarizing with the lexicon."""
+        return max(map(len, self.negation_words), default=0)
 
     def is_negation_phrase(self, words):
         return tuple(w.lower() for w in words) in self.negation_words

@@ -5,10 +5,11 @@ rendered v/↓) and no-information (FLAT, rendered =). Negation swaps UP and
 DOWN and leaves FLAT alone: a directionless mark has nothing to flip.
 Equalization forces FLAT everywhere and absorbs later negations.
 
-The backward/forward operators read one child's mark and rewrite the
-sibling subtree; top-down negation rewrites everything under a node's
-parent except the triggering subtree itself. All of them mutate marks in
-place and touch nothing else.
+The operators {identity, flip, flatten} form a commutative monoid in which
+flatten absorbs, so each operator runs in O(1): it rewrites the marks it
+reaches at once and composes itself onto the `pending` operator of the
+subtree below, which `push` hands down a level and `BinaryDepTree.nodes()`
+resolves; a mark still unassigned at a push is skipped.
 """
 
 import enum
@@ -51,72 +52,74 @@ class MarkError(Exception):
     """An operator met a node whose mark should have been assigned."""
 
 
-def negate_subtree(tree):
-    """Flip UP<->DOWN on every node of the subtree; FLAT stays put."""
-    for node in tree.nodes():
-        if node.mark is None:
-            raise MarkError("negation over a subtree with an unassigned mark")
+# pending operators; None in a `pending` slot is the identity
+FLIP = "flip"
+FLATTEN = "flatten"
+
+
+def _rewrite(op, node):
+    """Apply `op` to the node's own mark; flip leaves an unassigned mark."""
+    if op is FLATTEN:
+        node.mark = Polarity.FLAT
+    elif node.mark is not None:
         node.mark = node.mark.flipped()
+
+
+def _apply(op, node):
+    """Apply `op` to the node's mark and compose it onto its `pending`."""
+    _rewrite(op, node)
+    if node.left is not None:
+        if node.pending is None:
+            node.pending = op
+        else:  # flip twice is the identity, flatten absorbs
+            node.pending = None if op is node.pending is FLIP else FLATTEN
+
+
+def push(node):
+    """Hand the node's pending operator down to its children, skipping a
+    child whose mark is unassigned together with its subtree."""
+    op = node.pending
+    node.pending = None
+    for child in (node.left, node.right):
+        if child.mark is not None:
+            _apply(op, child)
+
+
+def negate_subtree(tree):
+    """Flip UP<->DOWN on every node of the subtree; FLAT stays put. An
+    unassigned mark on the node or its children is a MarkError."""
+    if any(n is not None and n.mark is None for n in (tree, tree.left, tree.right)):
+        raise MarkError("negation over an unassigned mark")
+    _apply(FLIP, tree)
 
 
 def equalize_subtree(tree):
     """Set every node of the subtree to FLAT."""
-    for node in tree.nodes():
-        node.mark = Polarity.FLAT
+    _apply(FLATTEN, tree)
 
 
-def backward_negation(tree):
-    """If the right child is DOWN, negate the left subtree."""
-    if tree.right.mark is Polarity.DOWN:
-        negate_subtree(tree.left)
-
-
-def backward_equalization(tree):
-    """If the right child is FLAT, equalize the left subtree."""
-    if tree.right.mark is Polarity.FLAT:
-        equalize_subtree(tree.left)
-
-
-def forward_negation(tree):
-    """If the left child is DOWN, negate the right subtree."""
-    if tree.left.mark is Polarity.DOWN:
-        negate_subtree(tree.right)
-
-
-def forward_equalization(tree):
-    """If the left child is FLAT, equalize the right subtree."""
-    if tree.left.mark is Polarity.FLAT:
-        equalize_subtree(tree.right)
-
-
-def _scope_excluding(parent, excluded):
-    yield parent
-    stack = [c for c in (parent.left, parent.right) if c is not None and c is not excluded]
-    while stack:
-        node = stack.pop()
-        if node is excluded:
-            continue
-        yield node
-        for child in (node.left, node.right):
-            if child is not None and child is not excluded:
-                stack.append(child)
+def _topdown(op, tree, strict, name):
+    """Apply `op` to the parent's own mark and to the sibling's subtree."""
+    parent = tree.parent
+    if parent is None:
+        verb = "negate" if op is FLIP else "equalize"
+        raise MarkError(f"top-down {name} at the root has nothing to {verb}")
+    sibling = parent.right if tree is parent.left else parent.left
+    scope = (parent, sibling, sibling.left, sibling.right)
+    if strict and any(n is not None and n.mark is None for n in scope):
+        raise MarkError(f"top-down {name} over an unassigned mark")
+    _rewrite(op, parent)
+    _apply(op, sibling)
 
 
 def topdown_negation(tree, strict=True):
     """Flip every mark under (and including) the parent, except this subtree.
 
-    With strict=True an unassigned mark in scope is an error; the lenient
-    form skips such nodes, which later inherit the flipped mark of their
-    nearest processed ancestor anyway.
+    With strict=True an unassigned mark on the parent, the sibling or its
+    children is an error; the lenient form skips such nodes, which later
+    inherit the flipped mark of their nearest processed ancestor anyway.
     """
-    if tree.parent is None:
-        raise MarkError("top-down negation at the root has nothing to negate")
-    for node in _scope_excluding(tree.parent, tree):
-        if node.mark is None:
-            if strict:
-                raise MarkError("top-down negation over an unassigned mark")
-            continue
-        node.mark = node.mark.flipped()
+    _topdown(FLIP, tree, strict, "negation")
 
 
 def topdown_equalization(tree, strict=True):
@@ -125,9 +128,4 @@ def topdown_equalization(tree, strict=True):
     Companion of topdown_negation for no-information contexts (e.g. an
     exact-cardinality quantifier flattening its clause).
     """
-    if tree.parent is None:
-        raise MarkError("top-down equalization at the root has nothing to equalize")
-    for node in _scope_excluding(tree.parent, tree):
-        if node.mark is None and strict:
-            raise MarkError("top-down equalization over an unassigned mark")
-        node.mark = Polarity.FLAT
+    _topdown(FLATTEN, tree, strict, "equalization")

@@ -36,6 +36,7 @@ from .polarity import (
     Polarity,
     equalize_subtree,
     negate_subtree,
+    push,
     topdown_equalization,
     topdown_negation,
 )
@@ -69,9 +70,6 @@ class AnnotatedSentence:
     tokens: list  # (Token, Polarity | None) pairs; None = unscored (punct)
     tree: BinaryDepTree
     sent_id: str = ""
-
-    def marks(self):
-        return [mark for _tok, mark in self.tokens]
 
 
 def _inherit(node):
@@ -198,11 +196,25 @@ def apply_word_rule(node, lexicon, suppressed=frozenset()):
     parent = node.parent
     if parent is None or node is not parent.left:
         return False
-    tokens = _leaf_tokens(node)
-    if suppressed and all(t.id in suppressed for t in tokens):
+    # Stop one leaf past the longest negation phrase, once a leaf is not
+    # suppressed. Right children first reach a leaf without walking down a
+    # dependent nested on the left.
+    longest = lexicon.longest_negation
+    tokens = []
+    all_suppressed = bool(suppressed)
+    stack = [node]
+    while stack and (all_suppressed or len(tokens) <= longest):
+        item = stack.pop()
+        if item.left is not None:
+            stack += (item.left, item.right)
+        else:
+            tokens.append(item.val)
+            all_suppressed = all_suppressed and item.val.id in suppressed
+    if all_suppressed:
         return False
     label = parent.label
-    if label in ADVERBIAL_RELATIONS:
+    if label in ADVERBIAL_RELATIONS and len(tokens) <= longest:
+        tokens.sort(key=lambda t: t.id)
         if lexicon.is_negation_phrase([t.form for t in tokens]):
             negate_subtree(parent.right)
             return True
@@ -229,6 +241,7 @@ class _Run:
             tree.mark = Polarity.UP
         if tree.left is not None:
             self.visit(tree)
+        # the walk pushes every pending operator down to the leaves
         for node in tree.nodes():
             if node.mark is None:
                 raise MarkError("polarization left a node unmarked")
@@ -236,7 +249,8 @@ class _Run:
 
     def visit(self, node):
         """Run the rule of an internal node and, depth first, the rules of
-        the nodes it yields, keeping the rules in progress on a stack."""
+        the nodes it yields, keeping the rules in progress on a stack; a
+        node's pending operator is pushed before its rule starts."""
         lookup = self.rules.lookup
         stack = [lookup(node.val)(self, node)]
         while stack:
@@ -244,7 +258,17 @@ class _Run:
             if child is None:
                 stack.pop()
             elif child.left is not None:
+                if child.pending is not None:
+                    push(child)
                 stack.append(lookup(child.val)(self, child))
+
+
+def _react(trigger, target):
+    """Negate the target under an antitone trigger, flatten it under =."""
+    if trigger.mark is Polarity.DOWN:
+        negate_subtree(target)
+    elif trigger.mark is Polarity.FLAT:
+        equalize_subtree(target)
 
 
 def rule_default(run, node):
@@ -256,42 +280,27 @@ def rule_default(run, node):
     yield node.left
     yield node.right
     if node.right.mark is not base:
+        _react(node.right, node.left)
+
+
+def rule_argument(run, node):
+    """Subject and complement relations: polarize the predicate first so
+    that clause-level flips triggered from the argument land on assigned
+    marks. The backward reaction to the predicate's mark is applied to the
+    argument's root mark before recursing into it (applying it afterwards
+    would re-flip marks a negation quantifier just set)."""
+    base = _inherit(node)
+    yield node.right
+    if node.right.mark is not base:
         if node.right.mark is Polarity.DOWN:
+            node.left.mark = node.left.mark.flipped()
+        elif node.right.mark is Polarity.FLAT:
+            node.left.mark = Polarity.FLAT
+    yield node.left
+    if node.val in COMPLEMENT_RELATIONS:
+        verb = node.right.head_leaf().val
+        if is_downward_operator(verb.lemma or verb.form, run.lexicon):
             negate_subtree(node.left)
-        elif node.right.mark is Polarity.FLAT:
-            equalize_subtree(node.left)
-
-
-def rule_subject(run, node):
-    """Subject relations: polarize the predicate first so that clause-level
-    flips triggered from the subject land on assigned marks. The backward
-    reaction to the predicate's mark is applied to the subject's root mark
-    before recursing into it (applying it afterwards would re-flip marks a
-    negation quantifier just set)."""
-    base = _inherit(node)
-    yield node.right
-    if node.right.mark is not base:
-        if node.right.mark is Polarity.DOWN:
-            node.left.mark = node.left.mark.flipped()
-        elif node.right.mark is Polarity.FLAT:
-            node.left.mark = Polarity.FLAT
-    yield node.left
-
-
-def rule_complement(run, node):
-    """Object/clausal-complement relations: like subjects, plus the
-    downward-implicative check on the governing predicate."""
-    base = _inherit(node)
-    yield node.right
-    if node.right.mark is not base:
-        if node.right.mark is Polarity.DOWN:
-            node.left.mark = node.left.mark.flipped()
-        elif node.right.mark is Polarity.FLAT:
-            node.left.mark = Polarity.FLAT
-    yield node.left
-    verb = node.right.head_leaf().val
-    if is_downward_operator(verb.lemma or verb.form, run.lexicon):
-        negate_subtree(node.left)
 
 
 def rule_clause_mod(run, node):
@@ -302,10 +311,7 @@ def rule_clause_mod(run, node):
     node.left.mark = Polarity.UP
     yield node.right
     yield node.left
-    if node.right.mark is Polarity.DOWN:
-        negate_subtree(node.left)
-    elif node.right.mark is Polarity.FLAT:
-        equalize_subtree(node.left)
+    _react(node.right, node.left)
 
 
 def rule_determiner(run, node):
@@ -352,10 +358,7 @@ def rule_adverbial(run, node):
     if apply_word_rule(node.left, run.lexicon, run.suppressed):
         return
     if node.left.mark is not base:
-        if node.left.mark is Polarity.DOWN:
-            negate_subtree(node.right)
-        elif node.left.mark is Polarity.FLAT:
-            equalize_subtree(node.right)
+        _react(node.left, node.right)
 
 
 def rule_mark(run, node):
@@ -367,10 +370,8 @@ def rule_mark(run, node):
 
 
 _STANDARD_RULES = {}
-for _rel in SUBJECT_RELATIONS:
-    _STANDARD_RULES[_rel] = rule_subject
-for _rel in COMPLEMENT_RELATIONS:
-    _STANDARD_RULES[_rel] = rule_complement
+for _rel in SUBJECT_RELATIONS | COMPLEMENT_RELATIONS:
+    _STANDARD_RULES[_rel] = rule_argument
 for _rel in CLAUSE_MOD_RELATIONS:
     _STANDARD_RULES[_rel] = rule_clause_mod
 for _rel in DETERMINER_RELATIONS:

@@ -12,8 +12,10 @@ import sys
 
 import udpolarity
 from udpolarity import (
+    Lexicon,
     Polarity,
     binarize,
+    load_lexicon,
     parse_conllu,
     polarize,
     project_to_tokens,
@@ -79,3 +81,55 @@ def test_cli_lenient_on_600_token_chain(tmp_path):
     assert proc.returncode == 0
     assert len(proc.stdout.splitlines()) == 1
     assert "Traceback" not in proc.stderr
+
+
+def _flips_polarizing(kind, n, monkeypatch):
+    """Calls of Polarity.flipped while polarizing a chain: one per mark the
+    operators rewrite."""
+    (graph,) = parse_conllu(chain(kind, n))
+    tree = binarize(graph)
+    calls = [0]
+    flipped = Polarity.flipped
+
+    def counted(mark):
+        calls[0] += 1
+        return flipped(mark)
+
+    monkeypatch.setattr(Polarity, "flipped", counted)
+    polarize(tree)
+    monkeypatch.setattr(Polarity, "flipped", flipped)
+    return calls[0]
+
+
+def test_stacked_negation_rewrites_linearly_many_marks(monkeypatch):
+    # rewriting each negated subtree in place flips about n^2/2 marks, so
+    # doubling the chain would quadruple the count
+    small = _flips_polarizing("neg", 1000, monkeypatch)
+    large = _flips_polarizing("neg", 2000, monkeypatch)
+    assert 0 < large <= 2.2 * small, (small, large)
+
+
+def test_4000_nested_adverbs(monkeypatch):
+    # `not` <-advmod- `not` <-advmod- ... `run`: every adverb modifies the
+    # next, so each advmod dependent holds all the adverbs before it; only
+    # the first, a lone `not`, negates its head. The negation check is
+    # never handed more words than the longest negation phrase has.
+    n = 4000
+    rows = [(i, "not", "not", "ADV", i + 1, "advmod") for i in range(1, n)]
+    rows.append((n, "run", "run", "VERB", 0, "root"))
+    (graph,) = parse_conllu(workloads.conllu_block("adverbs", rows))
+    tree = binarize(graph)
+    lexicon = load_lexicon()
+    longest = max(len(words) for words in lexicon.negation_words)
+    checked = []
+    is_negation_phrase = Lexicon.is_negation_phrase
+
+    def counted(self, words):
+        checked.append(len(words))
+        return is_negation_phrase(self, words)
+
+    monkeypatch.setattr(Lexicon, "is_negation_phrase", counted)
+    polarize(tree, lexicon)
+    marks = [mark for _tok, mark in project_to_tokens(tree, graph).tokens]
+    assert marks == [Polarity.UP, Polarity.DOWN] + [Polarity.UP] * (n - 2)
+    assert checked and max(checked) <= longest

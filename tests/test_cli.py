@@ -272,3 +272,31 @@ def test_strict_errors_name_the_same_locations(tmp_path):
         code, _out, err = run_cli(["polarize", path])
         assert code == 1
         assert err.startswith(f"error: {expected}:"), err
+
+
+def test_files_are_split_into_sentences_on_their_own(tmp_path):
+    # the first file ends without a newline; joined to the second, its last
+    # sentence would run into the second file's first one
+    first = write(tmp_path, "a.conllu", "\n".join(
+        [_rows_line(1, "dogs", 2, "nsubj"), _rows_line(2, "run", 0, "root")]
+    ))
+    second = write(tmp_path, "b.conllu", "\n".join(
+        [_rows_line(1, "cats", 2, "nsubj"), _rows_line(2, "sleep", 0, "root")]
+    ) + "\n")
+    code, out, err = run_cli(["polarize", first, second])
+    assert code == 0, err
+    assert out.splitlines() == ["dogs↑ run↑", "cats↑ sleep↑"]
+
+
+def test_errors_name_the_file_and_its_own_line(tmp_path):
+    first = write(tmp_path, "a.conllu", FIG1 + "\n" + FIG1.replace("fig1", "again"))
+    second = write(tmp_path, "b.conllu", "\n".join(
+        [_rows_line(1, "dogs", 2, "nsubj"), _rows_line(2, "run", "x", "root")]
+    ) + "\n")
+    code, _out, err = run_cli(["polarize", first, second])
+    assert code == 1
+    assert err == f"error: {second}: line 2: non-integer head 'x'\n"
+    code, out, err = run_cli(["polarize", "--lenient", first, second])
+    assert code == 0
+    assert out.splitlines() == ["All↑ dogs↓ eat↑ food↑"] * 2
+    assert err == f"skipping sentence: {second}: line 2: non-integer head 'x'\n"

@@ -6,17 +6,15 @@ from udpolarity import (
     MarkError,
     Polarity,
     Token,
-    backward_equalization,
-    backward_negation,
     binarize,
     equalize_subtree,
-    forward_equalization,
-    forward_negation,
     negate_subtree,
     polarize,
+    topdown_equalization,
     topdown_negation,
 )
 from udpolarity.binarize import BinaryDepTree
+from udpolarity.polarize import _react
 
 from .conftest import NO_STUDENT_REFUSED, graph_of
 
@@ -116,10 +114,13 @@ def test_equalize_idempotent_and_absorbs_negation():
 
 
 # ------------------------------------------------------------ backward
+# The polarizer's rules react to the head side's mark (right child) by
+# negating or flattening the dependent side (left child): `_react` with the
+# right child as trigger, built on negate_subtree/equalize_subtree.
 
 def test_backward_negation_fires_on_down_right():
     tree = node("obj", leaf("L", 1, Polarity.UP), leaf("R", 2, Polarity.DOWN), Polarity.UP)
-    backward_negation(tree)
+    _react(tree.right, tree.left)
     assert tree.left.mark is Polarity.DOWN
     assert tree.right.mark is Polarity.DOWN
     assert tree.mark is Polarity.UP
@@ -127,48 +128,50 @@ def test_backward_negation_fires_on_down_right():
 
 def test_backward_negation_noop_without_trigger():
     tree = node("obj", leaf("L", 1, Polarity.UP), leaf("R", 2, Polarity.UP), Polarity.UP)
-    backward_negation(tree)
+    _react(tree.right, tree.left)
     assert tree.left.mark is Polarity.UP
 
 
 def test_backward_negation_flips_whole_left_subtree():
     left = node("det", leaf("a", 1, Polarity.UP), leaf("dog", 2, Polarity.UP), Polarity.UP)
     tree = node("obj", left, leaf("R", 3, Polarity.DOWN), Polarity.UP)
-    backward_negation(tree)
+    _react(tree.right, tree.left)
     assert marks_of(left) == [Polarity.DOWN] * 3
 
 
 def test_backward_equalization_fires_on_flat_right():
     tree = node("obj", leaf("L", 1, Polarity.UP), leaf("R", 2, Polarity.FLAT), Polarity.UP)
-    backward_equalization(tree)
+    _react(tree.right, tree.left)
     assert tree.left.mark is Polarity.FLAT
 
 
 def test_backward_equalization_noop_without_trigger():
     tree = node("obj", leaf("L", 1, Polarity.UP), leaf("R", 2, Polarity.UP), Polarity.UP)
-    backward_equalization(tree)
+    _react(tree.right, tree.left)
     assert tree.left.mark is Polarity.UP
 
 
 def test_backward_equalization_reaches_descendants():
     inner = node("det", leaf("a", 1, Polarity.DOWN), leaf("dog", 2, Polarity.UP), Polarity.UP)
     tree = node("obj", inner, leaf("R", 3, Polarity.FLAT), Polarity.UP)
-    backward_equalization(tree)
+    _react(tree.right, tree.left)
     assert marks_of(inner) == [Polarity.FLAT] * 3
 
 
 # ------------------------------------------------------------ forward
+# The adverbial rule reacts to the dependent's mark (left child): `_react`
+# with the left child as trigger.
 
 def test_forward_negation_fires_on_down_left():
     tree = node("advmod", leaf("L", 1, Polarity.DOWN), leaf("R", 2, Polarity.UP), Polarity.UP)
-    forward_negation(tree)
+    _react(tree.left, tree.right)
     assert tree.right.mark is Polarity.DOWN
     assert tree.left.mark is Polarity.DOWN
 
 
 def test_forward_negation_noop_without_trigger():
     tree = node("advmod", leaf("L", 1, Polarity.UP), leaf("R", 2, Polarity.UP), Polarity.UP)
-    forward_negation(tree)
+    _react(tree.left, tree.right)
     assert tree.right.mark is Polarity.UP
 
 
@@ -180,7 +183,7 @@ def test_forward_negation_flips_deep_right_subtree():
         Polarity.UP,
     )
     tree = node("advmod", leaf("L", 1, Polarity.DOWN), deep, Polarity.UP)
-    forward_negation(tree)
+    _react(tree.left, tree.right)
     assert marks_of(deep) == [
         Polarity.DOWN, Polarity.DOWN, Polarity.DOWN, Polarity.UP, Polarity.DOWN
     ]
@@ -188,20 +191,21 @@ def test_forward_negation_flips_deep_right_subtree():
 
 def test_forward_equalization_fires_on_flat_left():
     tree = node("advmod", leaf("L", 1, Polarity.FLAT), leaf("R", 2, Polarity.UP), Polarity.UP)
-    forward_equalization(tree)
+    _react(tree.left, tree.right)
     assert tree.right.mark is Polarity.FLAT
 
 
 def test_forward_equalization_noop_on_down_left():
+    # an antitone dependent negates its sibling instead of flattening it
     tree = node("advmod", leaf("L", 1, Polarity.DOWN), leaf("R", 2, Polarity.UP), Polarity.UP)
-    forward_equalization(tree)
-    assert tree.right.mark is Polarity.UP
+    _react(tree.left, tree.right)
+    assert tree.right.mark is Polarity.DOWN
 
 
 def test_forward_equalization_deep():
     deep = node("obj", leaf("x", 2, Polarity.UP), leaf("z", 3, Polarity.DOWN), Polarity.UP)
     tree = node("advmod", leaf("L", 1, Polarity.FLAT), deep, Polarity.UP)
-    forward_equalization(tree)
+    _react(tree.left, tree.right)
     assert marks_of(deep) == [Polarity.FLAT] * 3
 
 
@@ -259,3 +263,48 @@ def test_negate_twice_restores_polarized_sentence_tree():
     negate_subtree(tree)
     negate_subtree(tree)
     assert marks_of(tree) == before
+
+
+
+# ------------------------------------------------------------ lazy = eager
+
+def _preorder(tree, excluded=None):
+    out, stack = [], [tree]
+    while stack:
+        n = stack.pop()
+        if n is not excluded:
+            out.append(n)
+            if n.left is not None:
+                stack += (n.right, n.left)
+    return out
+
+
+def test_operator_sequences_match_eager_rewrites():
+    # The reference keeps every mark in a dict and rewrites each operator's
+    # whole scope; reading any subtree through nodes(), between operators,
+    # must agree with it.
+    flat = lambda _mark: Polarity.FLAT  # noqa: E731
+    ops = [
+        (negate_subtree, False, Polarity.flipped),
+        (equalize_subtree, False, flat),
+        (topdown_negation, True, Polarity.flipped),
+        (topdown_equalization, True, flat),
+    ]
+    rng = random.Random(2718)
+    for _ in range(300):
+        tree = random_marked_tree(rng, rng.randint(1, 7))
+        everything = _preorder(tree)
+        expected = {id(n): n.mark for n in everything}
+        for _step in range(rng.randint(1, 12)):
+            target = rng.choice(everything)
+            op, topdown, rewrite = rng.choice(ops)
+            if topdown and target.parent is None:
+                continue
+            op(target)
+            scope = _preorder(target.parent, target) if topdown else _preorder(target)
+            for n in scope:
+                expected[id(n)] = rewrite(expected[id(n)])
+            if rng.random() < 0.3:
+                sub = rng.choice(everything)
+                assert marks_of(sub) == [expected[id(n)] for n in _preorder(sub)]
+        assert marks_of(tree) == [expected[id(n)] for n in everything]
