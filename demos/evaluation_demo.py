@@ -31,15 +31,15 @@ def main():
     graphs = parse_conllu((DATA / "mini_corpus.conllu").read_text("utf-8"))
     gold = load_gold(DATA / "mini_gold.tsv")
 
-    annotated = []
+    predicted = []
     for graph in graphs:
         tree = binarize(graph)
         polarize(tree)
         ann = project_to_tokens(tree, graph)
-        annotated.append(ann)
+        predicted.append(ann.tokens)
         print(f"{graph.sent_id:18} {render_inline(ann)}")
 
-    pairs = align(annotated, gold)
+    pairs = align(predicted, gold)
     report = evaluate(pairs)
     print()
     print(render_report(report))

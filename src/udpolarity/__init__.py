@@ -12,7 +12,6 @@ from .binarize import (
     BinaryDepTree,
     RelationHierarchy,
     binarize,
-    parse_sexpression,
     refine_relation,
     sort_children,
     to_sexpression,
@@ -58,10 +57,7 @@ from .polarity import (
 )
 from .polarize import (
     AnnotatedSentence,
-    DEFAULT_RULES,
-    RuleTable,
     apply_word_rule,
-    lookup_determiner,
     polarize,
     project_to_tokens,
 )
@@ -74,7 +70,6 @@ __all__ = [
     "AnnotatedSentence",
     "BinaryDepTree",
     "ConlluError",
-    "DEFAULT_RULES",
     "DependencyGraph",
     "EvalReport",
     "GoldSentence",
@@ -84,7 +79,6 @@ __all__ = [
     "Polarity",
     "QuantifierProfile",
     "RelationHierarchy",
-    "RuleTable",
     "Token",
     "ValidationError",
     "align",
@@ -98,10 +92,8 @@ __all__ = [
     "is_key_token",
     "load_gold",
     "load_lexicon",
-    "lookup_determiner",
     "negate_subtree",
     "parse_conllu",
-    "parse_sexpression",
     "polarize",
     "prf_per_label",
     "project_to_tokens",

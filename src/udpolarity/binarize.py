@@ -246,10 +246,9 @@ def binarize(graph, hierarchy=None):
     return built[root.id]
 
 
-ASCII_MARKS = {None: "", "UP": "^", "DOWN": " v", "FLAT": "="}
-
-
-_SUFFIX = {None: "", **{mark: ASCII_MARKS[mark.name] for mark in Polarity}}
+# 'v' is a letter, so a space sets it off from the word it marks
+# ("dogs v", not "dogsv"); '^' and '=' follow the word directly
+_SUFFIX = {None: "", **{m: m.ascii for m in Polarity}, Polarity.DOWN: " " + Polarity.DOWN.ascii}
 
 
 def to_sexpression(tree):
@@ -273,71 +272,3 @@ def to_sexpression(tree):
             parts.append("(" + item.val + _SUFFIX[item.mark] + " ")
             stack += (")", second, " ", first)
     return "".join(parts)
-
-
-class SexprNode:
-    """Lightweight node produced by parse_sexpression (labels and marks only)."""
-
-    def __init__(self, label, mark=None, children=None):
-        self.label = label
-        self.mark = mark
-        self.children = children or []
-
-    @property
-    def is_leaf(self):
-        return not self.children
-
-    def render(self):
-        suffix = ASCII_MARKS[self.mark.name if self.mark is not None else None]
-        if self.is_leaf:
-            return self.label + suffix
-        inner = " ".join(c.render() for c in self.children)
-        return f"({self.label}{suffix} {inner})"
-
-
-def parse_sexpression(text):
-    """Parse the textual s-expression form back into a SexprNode tree."""
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    pos = 0
-
-    def strip_mark(atom):
-        if atom.endswith("^"):
-            return atom[:-1], Polarity.UP
-        if atom.endswith("="):
-            return atom[:-1], Polarity.FLAT
-        return atom, None
-
-    def read():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ValueError("unexpected end of s-expression")
-        tok = tokens[pos]
-        pos += 1
-        if tok == "(":
-            if pos >= len(tokens):
-                raise ValueError("unexpected end of s-expression")
-            label_tok = tokens[pos]
-            pos += 1
-            label, mark = strip_mark(label_tok)
-            if pos < len(tokens) and tokens[pos] == "v":
-                mark = Polarity.DOWN
-                pos += 1
-            children = []
-            while pos < len(tokens) and tokens[pos] != ")":
-                children.append(read())
-            if pos >= len(tokens):
-                raise ValueError("unbalanced '(' in s-expression")
-            pos += 1
-            return SexprNode(label, mark, children)
-        if tok == ")":
-            raise ValueError("unbalanced ')' in s-expression")
-        label, mark = strip_mark(tok)
-        if pos < len(tokens) and tokens[pos] == "v":
-            mark = Polarity.DOWN
-            pos += 1
-        return SexprNode(label, mark)
-
-    node = read()
-    if pos != len(tokens):
-        raise ValueError("trailing material after s-expression")
-    return node

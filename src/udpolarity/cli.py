@@ -13,6 +13,7 @@ failure.
 
 import argparse
 import concurrent.futures
+import functools
 import sys
 
 from . import evaluation as ev
@@ -27,85 +28,89 @@ EXIT_ERROR = 1
 EXIT_ALIGNMENT = 2
 
 
-def _read_inputs(paths):
-    """(path, text) of each input file, or of stdin when there is none."""
-    if not paths:
-        return [("<stdin>", sys.stdin.read())]
-    inputs = []
-    for path in paths:
-        with open(path, encoding="utf-8") as f:
-            inputs.append((path, f.read()))
-    return inputs
+# --jobs N hands each worker about this many chunks of sentences, so that
+# a long sentence holds up only the chunk it is in
+CHUNKS_PER_JOB = 4
 
 
-_WORKER_STATE = {}
+def _annotate(hierarchy, lexicon, fmt, block):
+    """One sentence block of `_annotate_inputs` through parse, binarize,
+    polarize and project.
 
-
-def _worker_init(hierarchy_path, lexicon_paths):
-    hierarchy = (
-        RelationHierarchy.from_file(hierarchy_path)
-        if hierarchy_path
-        else RelationHierarchy.default()
-    )
-    lexicon = load_lexicon(quantifier_paths=lexicon_paths)
-    _WORKER_STATE["hierarchy"] = hierarchy
-    _WORKER_STATE["lexicon"] = lexicon
-
-
-def _annotate_one(args):
-    index, graph, fmt = args
-    hierarchy = _WORKER_STATE["hierarchy"]
-    lexicon = _WORKER_STATE["lexicon"]
+    Returns the sentence rendered in `fmt` (a DOT graph numbered 0), or
+    its (Token, mark) pairs when `fmt` is None; None for a block with no
+    tokens and the ConlluError of an invalid one. A worker process returns
+    no tree: pickling one recurses as deep as the tree.
+    """
+    where, line, ordinal, lines = block
+    try:
+        graphs = parse_conllu("\n".join(lines), line, ordinal)
+    except ConlluError as exc:
+        return ConlluError(f"{where}{exc}")
+    if not graphs:  # every token line is a multiword range or an empty node
+        return None
+    (graph,) = graphs
     tree = binarize(graph, hierarchy)
     polarize(tree, lexicon)
     annotated = project_to_tokens(tree, graph)
-    return render(annotated, fmt, index)
+    return annotated.tokens if fmt is None else render(annotated, fmt)
 
 
-def _annotate_all(graphs, fmt, hierarchy_path, lexicon_paths, jobs):
-    tasks = [(i, g, fmt) for i, g in enumerate(graphs)]
-    if jobs <= 1 or len(tasks) <= 1:
-        _worker_init(hierarchy_path, lexicon_paths)
-        return [_annotate_one(t) for t in tasks]
-    with concurrent.futures.ProcessPoolExecutor(
-        max_workers=jobs,
-        initializer=_worker_init,
-        initargs=(hierarchy_path, lexicon_paths),
-    ) as pool:
-        return list(pool.map(_annotate_one, tasks))
-
-
-def _parse_input(paths, lenient, err):
-    """Parse the CoNLL-U inputs, optionally skipping invalid sentences.
+def _annotate_inputs(args, fmt, err):
+    """Every sentence of the input files (stdin when there is none) through
+    `_annotate`, in order, on `args.jobs` processes.
 
     Each file is split into sentences on its own, so lines and sentence
     positions in errors count within the file, which errors name when
-    there are several.
+    there are several. An invalid sentence stops the run with its
+    ConlluError or, with --lenient, is reported and skipped.
     """
-    inputs = _read_inputs(paths)
-    graphs = []
-    for path, text in inputs:
-        where = f"{path}: " if len(inputs) > 1 else ""
-        if not lenient:
-            try:
-                graphs += parse_conllu(text)
-            except ConlluError as exc:
-                raise ConlluError(f"{where}{exc}") from None
-            continue
-        for line, ordinal, lines in sentence_blocks(text):
-            try:
-                graphs += parse_conllu("\n".join(lines), line, ordinal)
-            except ConlluError as exc:
-                print(f"skipping sentence: {where}{exc}", file=err)
-    return graphs
+    if not args.paths:
+        texts = [("<stdin>", sys.stdin.read())]
+    else:
+        texts = []
+        for path in args.paths:
+            with open(path, encoding="utf-8") as f:
+                texts.append((path, f.read()))
+    blocks = [
+        (f"{path}: " if len(texts) > 1 else "", *block)
+        for path, text in texts
+        for block in sentence_blocks(text)
+    ]
+    hierarchy = (
+        RelationHierarchy.from_file(args.hierarchy)
+        if args.hierarchy
+        else RelationHierarchy.default()
+    )
+    lexicon = load_lexicon(quantifier_paths=args.lexicon)
+    annotate = functools.partial(_annotate, hierarchy, lexicon, fmt)
+    pool = None
+    if args.jobs > 1 and len(blocks) > 1:
+        pool = concurrent.futures.ProcessPoolExecutor(args.jobs)
+        chunksize = -(-len(blocks) // (args.jobs * CHUNKS_PER_JOB))
+        results = pool.map(annotate, blocks, chunksize=chunksize)
+    else:
+        results = map(annotate, blocks)
+    sentences = []
+    try:
+        for result in results:
+            if isinstance(result, ConlluError):
+                if not args.lenient:
+                    raise result
+                print(f"skipping sentence: {result}", file=err)
+            elif result is not None:
+                if fmt == "dot":  # number the graphs across files and skips
+                    result = result.replace("sentence_0", f"sentence_{len(sentences)}", 1)
+                sentences.append(result)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    return sentences
 
 
 def cmd_polarize(args, out, err):
     try:
-        graphs = _parse_input(args.paths, args.lenient, err)
-        rendered = _annotate_all(
-            graphs, args.format, args.hierarchy, tuple(args.lexicon), args.jobs
-        )
+        rendered = _annotate_inputs(args, args.format, err)
     except (OSError, ConlluError, LexiconError, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_ERROR
@@ -118,15 +123,9 @@ def cmd_polarize(args, out, err):
 
 def cmd_eval(args, out, err):
     try:
-        graphs = _parse_input(args.paths, args.lenient, err)
+        predicted = _annotate_inputs(args, None, err)
         gold = ev.load_gold(args.gold)
-        _worker_init(args.hierarchy, tuple(args.lexicon))
-        annotated = []
-        for graph in graphs:
-            tree = binarize(graph, _WORKER_STATE["hierarchy"])
-            polarize(tree, _WORKER_STATE["lexicon"])
-            annotated.append(project_to_tokens(tree, graph))
-        pairs = ev.align(annotated, gold)
+        pairs = ev.align(predicted, gold)
     except ev.AlignmentError as exc:
         print(f"alignment error: {exc}", file=err)
         return EXIT_ALIGNMENT

@@ -65,26 +65,26 @@ def _scored(pairs, key_only):
         yield kept
 
 
-def align(annotated, gold):
+def align(predicted, gold):
     """Pair system output with gold sentences, checking token identity.
 
-    `annotated` is a list of AnnotatedSentence, `gold` a list of
-    GoldSentence in the same order. Returns the pair lists consumed by the
-    metric functions.
+    `predicted` holds the (Token, mark) pairs of each sentence (the
+    `tokens` of an AnnotatedSentence), `gold` a list of GoldSentence in the
+    same order. Returns the pair lists consumed by the metric functions.
     """
-    if len(annotated) != len(gold):
+    if len(predicted) != len(gold):
         raise AlignmentError(
-            f"{len(annotated)} predicted sentences vs {len(gold)} gold sentences"
+            f"{len(predicted)} predicted sentences vs {len(gold)} gold sentences"
         )
     pairs = []
-    for ann, gs in zip(annotated, gold):
-        if len(ann.tokens) != len(gs.tokens):
+    for tokens, gs in zip(predicted, gold):
+        if len(tokens) != len(gs.tokens):
             raise AlignmentError(
-                f"sentence {gs.sent_id}: {len(ann.tokens)} predicted tokens "
+                f"sentence {gs.sent_id}: {len(tokens)} predicted tokens "
                 f"vs {len(gs.tokens)} gold tokens"
             )
         sent = []
-        for (tok, mark), (form, upos, gmark) in zip(ann.tokens, gs.tokens):
+        for (tok, mark), (form, upos, gmark) in zip(tokens, gs.tokens):
             if tok.form != form:
                 raise AlignmentError(
                     f"sentence {gs.sent_id}: token {tok.id} form {tok.form!r} "

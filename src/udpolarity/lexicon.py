@@ -47,16 +47,25 @@ class Lexicon:
     negation_words: set = field(default_factory=set)  # surface tuples
     conditional_words: set = field(default_factory=set)  # single lowercase words
 
-    def quantifier_by_surface(self, words):
-        """Exact lookup of a (possibly multi-word) lowercase form sequence,
-        falling back to the comparative table."""
-        key = tuple(w.lower() for w in words)
-        profile = self.quantifiers.get(key)
-        if profile is None:
-            profile = self.comparatives.get(key)
-        return profile
+    def profile(self, tokens):
+        """Profile of a contiguous token span, or None. Quantifiers beat
+        comparatives; within a table a literal form beats NUM_WILDCARD,
+        which stands for any NUM token."""
+        keys = [tuple(t.form.lower() for t in tokens)]
+        for i, tok in enumerate(tokens):
+            if tok.upos == "NUM":
+                keys += [key[:i] + (NUM_WILDCARD,) + key[i + 1 :] for key in keys]
+        for table in (self.quantifiers, self.comparatives):
+            for key in keys:
+                profile = table.get(key)
+                if profile is not None:
+                    return profile
+        return None
 
+    @cached_property
     def max_phrase_len(self):
+        """Word count of the longest phrase of any table, counted on first
+        use like longest_negation."""
         keys = list(self.quantifiers) + list(self.comparatives) + list(self.negation_words)
         return max((len(k) for k in keys), default=1)
 

@@ -30,7 +30,7 @@ memory, not by the interpreter's recursion limit.
 from dataclasses import dataclass
 
 from .binarize import BinaryDepTree
-from .lexicon import NUM_WILDCARD, is_downward_operator, load_lexicon
+from .lexicon import is_downward_operator, load_lexicon
 from .polarity import (
     MarkError,
     Polarity,
@@ -50,17 +50,6 @@ ADVERBIAL_RELATIONS = {"advmod", "advmod-sent", "case"}
 # upos that terminate the leftward scan for a quantifier phrase
 _PHRASE_STOP_UPOS = {"NOUN", "PROPN", "VERB", "AUX", "PUNCT"}
 _PHRASE_SCAN_LIMIT = 6
-
-
-class RuleTable:
-    """Relation label -> rule function, with a default for everything else."""
-
-    def __init__(self, rules=None, default=None):
-        self.rules = dict(rules) if rules else {}
-        self.default = default if default is not None else rule_default
-
-    def lookup(self, label):
-        return self.rules.get(label, self.default)
 
 
 @dataclass
@@ -83,26 +72,6 @@ def _leaf_tokens(node):
     return sorted((leaf.val for leaf in node.leaves()), key=lambda t: t.id)
 
 
-def _entry_matches(entry, tokens):
-    if len(entry) != len(tokens):
-        return False
-    for part, tok in zip(entry, tokens):
-        if part == NUM_WILDCARD:
-            if tok.upos != "NUM":
-                return False
-        elif part != tok.form.lower():
-            return False
-    return True
-
-
-def _match_profile(lexicon, tokens):
-    for table in (lexicon.quantifiers, lexicon.comparatives):
-        for entry, profile in table.items():
-            if _entry_matches(entry, tokens):
-                return profile
-    return None
-
-
 def _scan_quantifier_phrase(det_node, lexicon, tokens_by_id):
     """Find the quantifier phrase governing a det/nummod node.
 
@@ -122,13 +91,13 @@ def _scan_quantifier_phrase(det_node, lexicon, tokens_by_id):
         seq.insert(0, tok)
         i -= 1
     head_min = det_node.right.min_token_id
-    max_len = lexicon.max_phrase_len()
+    max_len = lexicon.max_phrase_len
     for anchor in range(len(seq)):
         for span_len in range(min(max_len, len(seq) - anchor), 0, -1):
             span = seq[anchor : anchor + span_len]
             if span[-1].id - span[0].id != span_len - 1:
                 continue  # demand surface contiguity
-            profile = _match_profile(lexicon, span)
+            profile = lexicon.profile(span)
             if profile is None:
                 continue
             gap = [
@@ -141,49 +110,6 @@ def _scan_quantifier_phrase(det_node, lexicon, tokens_by_id):
             covered = {t.id for t in span} | {t.id for t in gap}
             return profile, covered
     return None, set()
-
-
-_STRING_GLUE = {"of", "the", "a", "an"}
-
-
-def lookup_determiner(tree_or_word, lexicon=None):
-    """Quantifier profile for a determiner word, leaf, or det-node.
-
-    Accepts a plain string ("every", "exactly n", "all of the"), a token or
-    leaf, or the determiner-relation node of a binarized tree. Returns None
-    when nothing in the lexicon matches.
-    """
-    if lexicon is None:
-        lexicon = load_lexicon()
-    if isinstance(tree_or_word, str):
-        words = tree_or_word.lower().split()
-        words = [NUM_WILDCARD if w == "n" or w.isdigit() else w for w in words]
-        for table in (lexicon.quantifiers, lexicon.comparatives):
-            if tuple(words) in table:
-                return table[tuple(words)]
-        # head-initial phrase like "all of the": longest prefix entry with
-        # only glue words after it
-        for end in range(len(words) - 1, 0, -1):
-            key = tuple(words[:end])
-            for table in (lexicon.quantifiers, lexicon.comparatives):
-                if key in table and all(w in _STRING_GLUE for w in words[end:]):
-                    return table[key]
-        return None
-    if isinstance(tree_or_word, BinaryDepTree):
-        if tree_or_word.is_leaf:
-            return lexicon.quantifier_by_surface([tree_or_word.val.form])
-        node = tree_or_word
-        if node.label not in DETERMINER_RELATIONS:
-            # treat the argument as the left phrase of its governing node
-            node = node.parent if node.parent is not None else node
-        root = node
-        while root.parent is not None:
-            root = root.parent
-        tokens_by_id = {leaf.val.id: leaf.val for leaf in root.leaves()}
-        profile, _span = _scan_quantifier_phrase(node, lexicon, tokens_by_id)
-        return profile
-    # a Token
-    return lexicon.quantifier_by_surface([tree_or_word.form])
 
 
 def apply_word_rule(node, lexicon, suppressed=frozenset()):
@@ -229,9 +155,8 @@ def apply_word_rule(node, lexicon, suppressed=frozenset()):
 class _Run:
     """One polarization pass over one tree (single-threaded per sentence)."""
 
-    def __init__(self, lexicon, rules):
+    def __init__(self, lexicon):
         self.lexicon = lexicon
-        self.rules = rules
         self.tokens_by_id = {}
         self.suppressed = set()
 
@@ -251,8 +176,8 @@ class _Run:
         """Run the rule of an internal node and, depth first, the rules of
         the nodes it yields, keeping the rules in progress on a stack; a
         node's pending operator is pushed before its rule starts."""
-        lookup = self.rules.lookup
-        stack = [lookup(node.val)(self, node)]
+        rule = RULES.get
+        stack = [rule(node.val, rule_default)(self, node)]
         while stack:
             child = next(stack[-1], None)
             if child is None:
@@ -260,7 +185,7 @@ class _Run:
             elif child.left is not None:
                 if child.pending is not None:
                     push(child)
-                stack.append(lookup(child.val)(self, child))
+                stack.append(rule(child.val, rule_default)(self, child))
 
 
 def _react(trigger, target):
@@ -369,27 +294,21 @@ def rule_mark(run, node):
     apply_word_rule(node.left, run.lexicon, run.suppressed)
 
 
-_STANDARD_RULES = {}
-for _rel in SUBJECT_RELATIONS | COMPLEMENT_RELATIONS:
-    _STANDARD_RULES[_rel] = rule_argument
-for _rel in CLAUSE_MOD_RELATIONS:
-    _STANDARD_RULES[_rel] = rule_clause_mod
-for _rel in DETERMINER_RELATIONS:
-    _STANDARD_RULES[_rel] = rule_determiner
-for _rel in ADVERBIAL_RELATIONS:
-    _STANDARD_RULES[_rel] = rule_adverbial
-_STANDARD_RULES["mark"] = rule_mark
-
-DEFAULT_RULES = RuleTable(_STANDARD_RULES, rule_default)
+# relation label -> rule; every other label takes rule_default
+RULES = {
+    **dict.fromkeys(SUBJECT_RELATIONS | COMPLEMENT_RELATIONS, rule_argument),
+    **dict.fromkeys(CLAUSE_MOD_RELATIONS, rule_clause_mod),
+    **dict.fromkeys(DETERMINER_RELATIONS, rule_determiner),
+    **dict.fromkeys(ADVERBIAL_RELATIONS, rule_adverbial),
+    "mark": rule_mark,
+}
 
 
-def polarize(tree, lexicon=None, rules=None):
+def polarize(tree, lexicon=None):
     """Assign a polarity mark to every node of a freshly binarized tree."""
     if lexicon is None:
         lexicon = load_lexicon()
-    if rules is None:
-        rules = DEFAULT_RULES
-    return _Run(lexicon, rules).polarize(tree)
+    return _Run(lexicon).polarize(tree)
 
 
 def project_to_tokens(tree, graph):

@@ -4,20 +4,13 @@ and Graphviz DOT trees."""
 from .binarize import to_sexpression
 
 
-def render_inline(annotated, ascii_marks=False):
-    """One line per sentence: each form with its mark appended (UTF-8
-    arrows by default, '^'/' v'/'=' in ascii mode); unscored tokens are
-    printed bare."""
-    parts = []
-    for tok, mark in annotated.tokens:
-        if mark is None:
-            parts.append(tok.form)
-        elif ascii_marks:
-            suffix = {"UP": "^", "DOWN": " v", "FLAT": "="}[mark.name]
-            parts.append(tok.form + suffix)
-        else:
-            parts.append(tok.form + mark.pretty)
-    return " ".join(parts)
+def render_inline(annotated):
+    """One line per sentence: each form with its mark appended; unscored
+    tokens are printed bare."""
+    return " ".join(
+        tok.form if mark is None else tok.form + mark.pretty
+        for tok, mark in annotated.tokens
+    )
 
 
 def render_tsv(annotated):

@@ -1,13 +1,9 @@
 import hashlib
 
-import pytest
-
 from udpolarity import (
-    Polarity,
     RelationHierarchy,
     binarize,
     graph_root,
-    parse_sexpression,
     polarize,
     refine_relation,
     sort_children,
@@ -240,26 +236,6 @@ def test_sexpression_with_marks():
     tree = binarize(g)
     polarize(tree)
     assert to_sexpression(tree) == "(nsubj^ (det^ All^ dogs v) (obj^ eat^ apples^))"
-
-
-def test_sexpression_round_trip():
-    text = "(nsubj^ (det^ All^ dogs v) (obj^ eat^ apples^))"
-    node = parse_sexpression(text)
-    assert node.render() == text
-    assert node.label == "nsubj"
-    assert node.children[0].children[1].mark is Polarity.DOWN  # dogs
-
-
-def test_sexpression_round_trip_unmarked():
-    text = "(nsubj (det All dogs) (obj eat apples))"
-    assert parse_sexpression(text).render() == text
-
-
-def test_parse_sexpression_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_sexpression("(nsubj (det All dogs)")
-    with pytest.raises(ValueError):
-        parse_sexpression("(a b c) trailing")
 
 
 # ---------------------------------------------------------------- drift guard

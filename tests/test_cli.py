@@ -4,7 +4,7 @@ import pathlib
 from udpolarity import binarize, parse_conllu, polarize, project_to_tokens, render_inline
 from udpolarity.cli import main
 
-from .conftest import DATA, conllu_block
+from .conftest import DATA, conllu_block, workloads
 
 FIG1 = conllu_block(
     [
@@ -300,3 +300,43 @@ def test_errors_name_the_file_and_its_own_line(tmp_path):
     assert code == 0
     assert out.splitlines() == ["All↑ dogs↓ eat↑ food↑"] * 2
     assert err == f"skipping sentence: {second}: line 2: non-integer head 'x'\n"
+
+
+def test_jobs_2_matches_jobs_1_across_files_skips_and_deep_trees(tmp_path):
+    chain = workloads.conllu_block("chain", workloads.deep_rows("neg", 3000, 0))
+    first = write(tmp_path, "a.conllu", "\n".join([FIG1, LOCATED_ERRORS, chain]))
+    second = write(tmp_path, "b.conllu", "\n".join(
+        ["1\tonly\tthree\n", FIG1.replace("fig1", "b1"), LOCATED_ERRORS]
+    ))
+    runs = {}
+    for jobs in ("1", "2"):
+        runs[jobs] = run_cli(
+            ["polarize", "--lenient", "--format", "dot", "--jobs", jobs, first, second]
+        )
+    assert runs["1"] == runs["2"]
+    code, out, err = runs["1"]
+    assert code == 0
+    # 5 valid sentences, numbered on across the skips and into b.conllu
+    assert [line for line in out.splitlines() if line.startswith("digraph")] == [
+        f"digraph sentence_{i} {{" for i in range(5)
+    ]
+    assert len(err.splitlines()) == 7
+    assert err.splitlines()[3] == f"skipping sentence: {second}: line 1: expected 10 columns, got 3"
+
+    # a gold file of the right tokens, every mark UP
+    _code, tsv, _err = run_cli(["polarize", "--lenient", "--format", "tsv", first, second])
+    gold = "\n".join(
+        "\t".join(["s", *row.split("\t")[1:3], "^"]) if row else ""
+        for row in tsv.splitlines()
+    )
+    gold_path = write(tmp_path, "gold.tsv", gold + "\n")
+    runs = {}
+    for jobs in ("1", "2"):
+        runs[jobs] = run_cli(
+            ["eval", "--lenient", "--gold", gold_path, "--jobs", jobs, first, second]
+        )
+    assert runs["1"] == runs["2"]
+    code, out, err = runs["1"]
+    assert code == 0, err
+    assert "sentences=5" in out
+    assert len(err.splitlines()) == 7

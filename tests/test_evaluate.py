@@ -267,14 +267,14 @@ def test_align_length_mismatch():
     ann = _annotated_stub(["a", "b"])
     gold = [GoldSentence("g1", [("a", "NOUN", UP)])]
     with pytest.raises(AlignmentError, match="g1"):
-        align([ann], gold)
+        align([ann.tokens], gold)
 
 
 def test_align_form_mismatch():
     ann = _annotated_stub(["a", "b"])
     gold = [GoldSentence("g1", [("a", "NOUN", UP), ("c", "NOUN", UP)])]
     with pytest.raises(AlignmentError, match="g1"):
-        align([ann], gold)
+        align([ann.tokens], gold)
 
 
 # ------------------------------------------------------------ report text

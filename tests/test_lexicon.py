@@ -3,13 +3,16 @@ import pytest
 from udpolarity import (
     LexiconError,
     Polarity,
+    Token,
     binarize,
     is_downward_operator,
     load_lexicon,
-    lookup_determiner,
+    polarize,
+    project_to_tokens,
+    render_inline,
 )
 
-from .conftest import graph_of
+from .conftest import annotate, graph_of
 
 UP, DOWN, FLAT = Polarity.UP, Polarity.DOWN, Polarity.FLAT
 
@@ -64,29 +67,34 @@ def test_conditional_words_contain_if(lexicon):
     assert not lexicon.is_conditional("to")
 
 
-# ------------------------------------------------------- lookup_determiner
+# ------------------------------------------------------- span lookup
+
+def span(*words):
+    """The tokens of a phrase; a word written in digits is tagged NUM."""
+    return [
+        Token(i, w, w.lower(), "NUM" if w.isdigit() else "DET", 0, "dep")
+        for i, w in enumerate(words, start=1)
+    ]
+
 
 def test_lookup_every(lexicon):
-    profile = lookup_determiner("every", lexicon)
+    profile = lexicon.profile(span("every"))
     assert profile_pair(profile) == (DOWN, UP)
     assert profile.category == "universal"
 
 
 def test_lookup_exactly_n(lexicon):
-    profile = lookup_determiner("exactly n", lexicon)
+    profile = lexicon.profile(span("exactly", "5"))
     assert profile_pair(profile) == (FLAT, FLAT)
     assert profile.category == "exact"
-    assert lookup_determiner("exactly 5", lexicon) is profile
+    assert profile is lexicon.quantifiers[("exactly", "<num>")]
+    assert lexicon.profile(span("exactly", "many")) is None  # not a NUM token
 
 
-def test_lookup_all_of_the(lexicon):
-    profile = lookup_determiner("all of the", lexicon)
-    assert profile.category == "universal"
-    assert profile_pair(profile) == (DOWN, UP)
-
-
-def test_lookup_det_node_with_scattered_phrase(lexicon):
-    g = graph_of(
+def test_lookup_det_node_with_scattered_phrase():
+    # "all" reaches the det node of "the dogs" across "of": the governed
+    # nominal takes the universal first-argument mark, not the FLAT of "the"
+    ann = annotate(
         [
             (1, "all", "all", "DET", 0, "root"),
             (2, "of", "of", "ADP", 4, "case"),
@@ -94,19 +102,33 @@ def test_lookup_det_node_with_scattered_phrase(lexicon):
             (4, "dogs", "dog", "NOUN", 1, "nmod"),
         ]
     )
-    tree = binarize(g)
-    det_node = tree.left.right  # (det the dogs) under (case of ...)
-    assert det_node.val == "det"
-    profile = lookup_determiner(det_node, lexicon)
-    assert profile.category == "universal"
+    assert [mark for _tok, mark in ann.tokens] == [UP, UP, UP, DOWN]
 
 
 def test_lookup_unknown_determiner_is_none(lexicon):
-    assert lookup_determiner("yonder", lexicon) is None
+    assert lexicon.profile(span("yonder")) is None
 
 
 def test_lookup_case_insensitive(lexicon):
-    assert lookup_determiner("Every", lexicon) is lookup_determiner("every", lexicon)
+    assert lexicon.profile(span("Every")) is lexicon.profile(span("every"))
+
+
+def test_user_literal_number_beats_builtin_num_wildcard(tmp_path):
+    user = tmp_path / "quant.tsv"
+    user.write_text("exactly two\tup\tup\texistential\n", encoding="utf-8")
+    lex = load_lexicon(quantifier_paths=[user])
+    graph = graph_of(
+        [
+            (1, "Exactly", "exactly", "ADV", 2, "advmod"),
+            (2, "two", "two", "NUM", 3, "nummod"),
+            (3, "dogs", "dog", "NOUN", 4, "nsubj"),
+            (4, "bark", "bark", "VERB", 0, "root"),
+        ]
+    )
+    assert lex.profile(graph.tokens[:2]).category == "existential"
+    tree = binarize(graph)
+    polarize(tree, lex)
+    assert render_inline(project_to_tokens(tree, graph)) == "Exactly↑ two↑ dogs↑ bark↑"
 
 
 # ------------------------------------------------------- implicatives

@@ -8,11 +8,6 @@ def test_inline_utf8():
     assert render_inline(ann) == "All↑ dogs↓ eat↑ apples↑"
 
 
-def test_inline_ascii():
-    ann = annotate(ALL_DOGS_EAT_APPLES)
-    assert render_inline(ann, ascii_marks=True) == "All^ dogs v eat^ apples^"
-
-
 def test_inline_flat_and_unscored():
     ann = annotate(
         [
@@ -22,7 +17,6 @@ def test_inline_flat_and_unscored():
         ]
     )
     assert render_inline(ann) == "the↑ rabbit= ."
-    assert render_inline(ann, ascii_marks=True) == "the^ rabbit= ."
 
 
 def test_tsv_rows():
