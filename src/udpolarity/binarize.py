@@ -65,10 +65,10 @@ class BinaryDepTree:
     `mark` holds the polarity and `pending` the polarity operator still
     to be applied to the node's descendants (see polarity.py); they are the
     only slots mutated after construction, everything else is fixed when
-    the tree is built.
+    the tree is built. `min_id` is the smallest token id in the subtree.
     """
 
-    __slots__ = ("val", "left", "right", "mark", "pending", "parent", "_min_id", "_leaves")
+    __slots__ = ("val", "left", "right", "mark", "pending", "parent", "min_id", "_leaves")
 
     def __init__(self, val, left=None, right=None):
         self.val = val
@@ -79,27 +79,15 @@ class BinaryDepTree:
         self.parent = None
         self._leaves = None
         if left is None and right is None:
-            self._min_id = val.id if isinstance(val, Token) else 0
+            self.min_id = val.id if isinstance(val, Token) else 0
         else:
             left.parent = self
             right.parent = self
-            self._min_id = left._min_id if left._min_id < right._min_id else right._min_id
+            self.min_id = left.min_id if left.min_id < right.min_id else right.min_id
 
     @property
     def is_leaf(self):
         return self.left is None and self.right is None
-
-    @property
-    def label(self):
-        return self.val if isinstance(self.val, str) else None
-
-    @property
-    def token(self):
-        return self.val if isinstance(self.val, Token) else None
-
-    @property
-    def min_token_id(self):
-        return self._min_id
 
     def leaves(self):
         """The leaves left to right, as a tuple.
@@ -267,7 +255,7 @@ def to_sexpression(tree):
             parts.append(item.val.form + _SUFFIX[item.mark])
         else:
             first, second = item.left, item.right
-            if second._min_id < first._min_id:
+            if second.min_id < first.min_id:
                 first, second = second, first
             parts.append("(" + item.val + _SUFFIX[item.mark] + " ")
             stack += (")", second, " ", first)

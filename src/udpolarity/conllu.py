@@ -164,26 +164,23 @@ def _parse_block(lines, first_line, ordinal):
     """One sentence block -> DependencyGraph, or None when every token line
     is a multiword range or an empty node."""
     tokens = []
-    sent_text = None
-    sent_id = None
+    comments = {}  # `# key = value` lines; the last of a key wins
     for lineno, line in enumerate(lines, start=first_line):
         if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("text") and "=" in body:
-                sent_text = body.split("=", 1)[1].strip()
-            elif body.startswith("sent_id") and "=" in body:
-                sent_id = body.split("=", 1)[1].strip()
+            key, sep, value = line[1:].partition("=")
+            if sep:
+                comments[key.strip()] = value.strip()
             continue
         tok = _parse_token_line(line, lineno)
         if tok is not None:
             tokens.append(tok)
     if not tokens:
         return None
-    sent_id = sent_id or str(ordinal)
+    sent_id = comments.get("sent_id") or str(ordinal)
     _validate(tokens, sent_id)
     return DependencyGraph(
         tokens=tokens,
-        sentence_text=sent_text or " ".join(t.form for t in tokens),
+        sentence_text=comments.get("text") or " ".join(t.form for t in tokens),
         sent_id=sent_id,
     )
 

@@ -9,6 +9,7 @@ tokens (mark None on the prediction side) are excluded throughout.
 
 from dataclasses import dataclass, field
 
+from .conllu import sentence_blocks
 from .polarity import Polarity
 
 KEY_UPOS = {"NOUN", "PROPN", "VERB", "ADJ", "ADV", "DET", "NUM"}
@@ -167,35 +168,24 @@ def load_gold(path):
     with open(path, encoding="utf-8") as f:
         text = f.read()
     sentences = []
-    current = []
-    current_id = None
-
-    def flush():
-        nonlocal current, current_id
-        if current:
-            sentences.append(GoldSentence(sent_id=current_id, tokens=current))
-        current = []
-        current_id = None
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\n")
-        if not line.strip():
-            flush()
-            continue
-        if line.lstrip().startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise ValueError(f"gold line {lineno}: expected 4 tab-separated fields")
-        sid, form, upos, mark = parts
-        try:
-            pol = Polarity.from_symbol(mark)
-        except ValueError as exc:
-            raise ValueError(f"gold line {lineno}: {exc}") from None
-        if current_id is None:
-            current_id = sid
-        current.append((form, upos, pol))
-    flush()
+    for first_line, _ordinal, lines in sentence_blocks(text):
+        tokens = []
+        for lineno, line in enumerate(lines, start=first_line):
+            if line.lstrip().startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != 4:
+                raise ValueError(f"gold line {lineno}: expected 4 tab-separated fields")
+            sid, form, upos, mark = parts
+            try:
+                pol = Polarity.from_symbol(mark)
+            except ValueError as exc:
+                raise ValueError(f"gold line {lineno}: {exc}") from None
+            if not tokens:
+                sent_id = sid
+            tokens.append((form, upos, pol))
+        if tokens:
+            sentences.append(GoldSentence(sent_id=sent_id, tokens=tokens))
     return sentences
 
 

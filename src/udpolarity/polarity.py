@@ -1,15 +1,16 @@
-"""Three-valued polarity marks and the tree operators built on them.
+"""Three-valued polarity marks, which are also the operators on them.
 
-The mark vocabulary is monotone (UP, rendered ^/↑), antitone (DOWN,
-rendered v/↓) and no-information (FLAT, rendered =). Negation swaps UP and
-DOWN and leaves FLAT alone: a directionless mark has nothing to flip.
-Equalization forces FLAT everywhere and absorbs later negations.
+The marks are monotone (UP, rendered ^/↑), antitone (DOWN, rendered v/↓)
+and no-information (FLAT, rendered =). Read as operators they are
+identity, flip and flatten, a commutative monoid: `op * mark` applies
+one, `op * op` composes two. A flip swaps UP and DOWN and leaves FLAT
+alone, as a directionless mark has nothing to flip; flatten absorbs.
 
-The operators {identity, flip, flatten} form a commutative monoid in which
-flatten absorbs, so each operator runs in O(1): it rewrites the marks it
-reaches at once and composes itself onto the `pending` operator of the
-subtree below, which `push` hands down a level and `BinaryDepTree.nodes()`
-resolves; a mark still unassigned at a push is skipped.
+Each tree operator runs in O(1): it rewrites the mark it reaches and
+composes itself onto the `pending` operator of a node whose children are
+marked, which `push` hands down a level and `BinaryDepTree.nodes()`
+resolves. An unassigned mark stays unassigned under every operator, and
+children not yet marked take their parent's rewritten mark from its rule.
 """
 
 import enum
@@ -21,10 +22,19 @@ class Polarity(enum.Enum):
     FLAT = "="
 
     def flipped(self):
-        if self is Polarity.UP:
-            return Polarity.DOWN
-        if self is Polarity.DOWN:
-            return Polarity.UP
+        if self is _UP:
+            return _DOWN
+        if self is _DOWN:
+            return _UP
+        return self
+
+    def __mul__(self, other):
+        """This operator applied to the mark, or composed with the
+        operator, `other`."""
+        if self is _UP:
+            return other
+        if self is _DOWN:
+            return other.flipped()
         return self
 
     @property
@@ -48,41 +58,31 @@ class Polarity(enum.Enum):
         return table[key]
 
 
+# the hot paths compare with module globals: looking a member up on the
+# enum class takes several times as long
+_UP, _DOWN = Polarity.UP, Polarity.DOWN
+
+
 class MarkError(Exception):
     """An operator met a node whose mark should have been assigned."""
 
 
-# pending operators; None in a `pending` slot is the identity
-FLIP = "flip"
-FLATTEN = "flatten"
-
-
-def _rewrite(op, node):
-    """Apply `op` to the node's own mark; flip leaves an unassigned mark."""
-    if op is FLATTEN:
-        node.mark = Polarity.FLAT
-    elif node.mark is not None:
-        node.mark = node.mark.flipped()
-
-
 def _apply(op, node):
-    """Apply `op` to the node's mark and compose it onto its `pending`."""
-    _rewrite(op, node)
-    if node.left is not None:
-        if node.pending is None:
-            node.pending = op
-        else:  # flip twice is the identity, flatten absorbs
-            node.pending = None if op is node.pending is FLIP else FLATTEN
+    """Apply `op` to the node's mark and, when its children are marked,
+    compose it onto its `pending` operator; None there is the identity."""
+    if node.mark is not None:
+        node.mark = op * node.mark
+    if node.left is not None and node.left.mark is not None:
+        pending = op if node.pending is None else op * node.pending
+        node.pending = None if pending is _UP else pending
 
 
 def push(node):
-    """Hand the node's pending operator down to its children, skipping a
-    child whose mark is unassigned together with its subtree."""
+    """Hand the node's pending operator down to its children."""
     op = node.pending
     node.pending = None
-    for child in (node.left, node.right):
-        if child.mark is not None:
-            _apply(op, child)
+    _apply(op, node.left)
+    _apply(op, node.right)
 
 
 def negate_subtree(tree):
@@ -90,42 +90,38 @@ def negate_subtree(tree):
     unassigned mark on the node or its children is a MarkError."""
     if any(n is not None and n.mark is None for n in (tree, tree.left, tree.right)):
         raise MarkError("negation over an unassigned mark")
-    _apply(FLIP, tree)
+    _apply(Polarity.DOWN, tree)
 
 
 def equalize_subtree(tree):
     """Set every node of the subtree to FLAT."""
-    _apply(FLATTEN, tree)
+    _apply(Polarity.FLAT, tree)
 
 
-def _topdown(op, tree, strict, name):
+def _topdown(op, tree, name):
     """Apply `op` to the parent's own mark and to the sibling's subtree."""
     parent = tree.parent
     if parent is None:
-        verb = "negate" if op is FLIP else "equalize"
+        verb = "negate" if op is Polarity.DOWN else "equalize"
         raise MarkError(f"top-down {name} at the root has nothing to {verb}")
-    sibling = parent.right if tree is parent.left else parent.left
-    scope = (parent, sibling, sibling.left, sibling.right)
-    if strict and any(n is not None and n.mark is None for n in scope):
-        raise MarkError(f"top-down {name} over an unassigned mark")
-    _rewrite(op, parent)
-    _apply(op, sibling)
+    if parent.mark is not None:
+        parent.mark = op * parent.mark
+    _apply(op, parent.right if tree is parent.left else parent.left)
 
 
-def topdown_negation(tree, strict=True):
+def topdown_negation(tree):
     """Flip every mark under (and including) the parent, except this subtree.
 
-    With strict=True an unassigned mark on the parent, the sibling or its
-    children is an error; the lenient form skips such nodes, which later
-    inherit the flipped mark of their nearest processed ancestor anyway.
+    Unassigned marks are skipped; those nodes later inherit the flipped
+    mark of their nearest marked ancestor anyway.
     """
-    _topdown(FLIP, tree, strict, "negation")
+    _topdown(Polarity.DOWN, tree, "negation")
 
 
-def topdown_equalization(tree, strict=True):
+def topdown_equalization(tree):
     """FLAT-out every mark under the parent except this subtree.
 
     Companion of topdown_negation for no-information contexts (e.g. an
     exact-cardinality quantifier flattening its clause).
     """
-    _topdown(FLATTEN, tree, strict, "equalization")
+    _topdown(Polarity.FLAT, tree, "equalization")

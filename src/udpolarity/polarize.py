@@ -1,8 +1,9 @@
 """Rule-driven polarization of binarized dependency trees.
 
 Every relation label dispatches to a rule. A rule first hands its own mark
-down to both children (monotone when nothing is assigned yet), recurses,
-and then applies whatever negation/equalization its relation calls for:
+down to both children (the root starts monotone), recurses, and then
+applies whatever operator its relation calls for, ↓ (negation) or =
+(equalization); marks and operators are the same Polarity values:
 
 * subject and complement relations recurse into the head side first, so a
   determiner-driven clause flip coming from the dependent side lands on
@@ -36,7 +37,6 @@ from .polarity import (
     Polarity,
     equalize_subtree,
     negate_subtree,
-    push,
     topdown_equalization,
     topdown_negation,
 )
@@ -58,14 +58,11 @@ class AnnotatedSentence:
 
     tokens: list  # (Token, Polarity | None) pairs; None = unscored (punct)
     tree: BinaryDepTree
-    sent_id: str = ""
 
 
 def _inherit(node):
-    mark = node.mark if node.mark is not None else Polarity.UP
-    node.left.mark = mark
-    node.right.mark = mark
-    return mark
+    node.left.mark = node.right.mark = node.mark
+    return node.mark
 
 
 def _leaf_tokens(node):
@@ -90,7 +87,7 @@ def _scan_quantifier_phrase(det_node, lexicon, tokens_by_id):
             break
         seq.insert(0, tok)
         i -= 1
-    head_min = det_node.right.min_token_id
+    head_min = det_node.right.min_id
     max_len = lexicon.max_phrase_len
     for anchor in range(len(seq)):
         for span_len in range(min(max_len, len(seq) - anchor), 0, -1):
@@ -138,7 +135,7 @@ def apply_word_rule(node, lexicon, suppressed=frozenset()):
             all_suppressed = all_suppressed and item.val.id in suppressed
     if all_suppressed:
         return False
-    label = parent.label
+    label = parent.val
     if label in ADVERBIAL_RELATIONS and len(tokens) <= longest:
         tokens.sort(key=lambda t: t.id)
         if lexicon.is_negation_phrase([t.form for t in tokens]):
@@ -166,7 +163,7 @@ class _Run:
             tree.mark = Polarity.UP
         if tree.left is not None:
             self.visit(tree)
-        # the walk pushes every pending operator down to the leaves
+        # the walk resolves every pending operator down to the leaves
         for node in tree.nodes():
             if node.mark is None:
                 raise MarkError("polarization left a node unmarked")
@@ -174,8 +171,7 @@ class _Run:
 
     def visit(self, node):
         """Run the rule of an internal node and, depth first, the rules of
-        the nodes it yields, keeping the rules in progress on a stack; a
-        node's pending operator is pushed before its rule starts."""
+        the nodes it yields, keeping the rules in progress on a stack."""
         rule = RULES.get
         stack = [rule(node.val, rule_default)(self, node)]
         while stack:
@@ -183,8 +179,6 @@ class _Run:
             if child is None:
                 stack.pop()
             elif child.left is not None:
-                if child.pending is not None:
-                    push(child)
                 stack.append(rule(child.val, rule_default)(self, child))
 
 
@@ -217,10 +211,7 @@ def rule_argument(run, node):
     base = _inherit(node)
     yield node.right
     if node.right.mark is not base:
-        if node.right.mark is Polarity.DOWN:
-            node.left.mark = node.left.mark.flipped()
-        elif node.right.mark is Polarity.FLAT:
-            node.left.mark = Polarity.FLAT
+        node.left.mark = node.right.mark * node.left.mark
     yield node.left
     if node.val in COMPLEMENT_RELATIONS:
         verb = node.right.head_leaf().val
@@ -232,7 +223,7 @@ def rule_clause_mod(run, node):
     """Relative/adverbial/noun clause modifiers: the modifier clause starts
     monotone regardless of the inherited mark, then is negated or
     flattened according to the modified head's mark."""
-    node.right.mark = node.mark if node.mark is not None else Polarity.UP
+    node.right.mark = node.mark
     node.left.mark = Polarity.UP
     yield node.right
     yield node.left
@@ -249,28 +240,25 @@ def rule_determiner(run, node):
     quantifier reads as "at least n": the numeral flips against its
     context. Anything else defaults to an existential profile.
     """
-    node.left.mark = node.mark if node.mark is not None else Polarity.UP
+    node.left.mark = node.mark
+    outside = Polarity.UP  # the operator on the clause outside the phrase
     profile, covered = _scan_quantifier_phrase(node, run.lexicon, run.tokens_by_id)
     if profile is not None:
         run.suppressed |= covered
         node.right.mark = profile.first_arg
-        yield node.left
-        yield node.right
-        if node.parent is not None:
-            if profile.second_arg is Polarity.DOWN:
-                topdown_negation(node, strict=False)
-            elif profile.second_arg is Polarity.FLAT:
-                topdown_equalization(node, strict=False)
-        return
-    if node.label == "nummod" and node.left.head_leaf().val.upos == "NUM":
-        node.left.mark = node.left.mark.flipped()
-        node.right.mark = node.mark if node.mark is not None else Polarity.UP
-        yield node.left
-        yield node.right
-        return
-    node.right.mark = Polarity.UP  # unknown determiner: existential reading
+        outside = profile.second_arg
+    elif node.val == "nummod" and node.left.head_leaf().val.upos == "NUM":
+        node.left.mark = node.mark.flipped()
+        node.right.mark = node.mark
+    else:
+        node.right.mark = Polarity.UP  # unknown determiner: existential reading
     yield node.left
     yield node.right
+    if node.parent is not None:
+        if outside is Polarity.DOWN:
+            topdown_negation(node)
+        elif outside is Polarity.FLAT:
+            topdown_equalization(node)
 
 
 def rule_adverbial(run, node):
@@ -327,4 +315,4 @@ def project_to_tokens(tree, graph):
             raise MarkError(f"token {tok.id} ({tok.form!r}) has no mark")
         marks[tok.id] = leaf.mark
     pairs = [(tok, marks[tok.id]) for tok in graph.tokens]
-    return AnnotatedSentence(tokens=pairs, tree=tree, sent_id=graph.sent_id)
+    return AnnotatedSentence(tokens=pairs, tree=tree)

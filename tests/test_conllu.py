@@ -72,6 +72,17 @@ def test_cycle_names_sentence():
         parse_conllu(bad)
 
 
+def test_comment_keys_match_exactly():
+    rows = "1\tHund\thund\tNOUN\t_\t_\t0\troot\t_\t_\n"
+    text = "# sent_id = de-1\n# sent_id_orig = 77\n# text = Hund\n# text_en = dog\n" + rows
+    (graph,) = parse_conllu(text)
+    assert graph.sent_id == "de-1"
+    assert graph.sentence_text == "Hund"
+    looped = text.replace("\t0\troot", "\t1\troot")
+    with pytest.raises(ValidationError, match="sentence de-1:"):
+        parse_conllu(looped)
+
+
 def test_multiword_ranges_and_empty_nodes_skipped():
     text = (
         "1-2\tdon't\t_\t_\t_\t_\t_\t_\t_\t_\n"

@@ -253,6 +253,26 @@ def test_load_gold_bad_mark(tmp_path):
         load_gold(path)
 
 
+def test_load_gold_splits_like_conllu_and_names_absolute_lines(tmp_path):
+    path = tmp_path / "gold.tsv"
+    rows = [
+        "s1\tdogs\tNOUN\t^",  # line 1
+        "   ",  # a whitespace-only line ends a sentence
+        "  # an indented comment",
+        "s2\tcats\tNOUN\tv",
+        "s2\tsleep\tVERB\t^",
+        "",
+        "s3\tbirds\tNOUN",  # line 7: three fields
+    ]
+    path.write_text("\n".join(rows[:6]) + "\n", encoding="utf-8")
+    gold = load_gold(path)
+    assert [g.sent_id for g in gold] == ["s1", "s2"]
+    assert [len(g.tokens) for g in gold] == [1, 2]
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="gold line 7:"):
+        load_gold(path)
+
+
 # ------------------------------------------------------------ alignment
 
 def _annotated_stub(forms):

@@ -308,3 +308,30 @@ def test_operator_sequences_match_eager_rewrites():
                 sub = rng.choice(everything)
                 assert marks_of(sub) == [expected[id(n)] for n in _preorder(sub)]
         assert marks_of(tree) == [expected[id(n)] for n in everything]
+
+
+# ------------------------------------------------------------ the monoid
+# The marks read as operators: UP is the identity, DOWN flips, FLAT
+# flattens; `op * mark` applies an operator and `op * op` composes two.
+
+def test_product_table():
+    UP, DOWN, FLAT = Polarity.UP, Polarity.DOWN, Polarity.FLAT
+    for mark in Polarity:
+        assert UP * mark is mark
+        assert DOWN * mark is mark.flipped()
+        assert FLAT * mark is FLAT
+    assert DOWN * DOWN is UP
+
+
+def test_identity_and_absorbing_elements():
+    for mark in Polarity:
+        assert mark * Polarity.UP is mark
+        assert mark * Polarity.FLAT is Polarity.FLAT
+
+
+def test_product_commutes_and_associates():
+    for a in Polarity:
+        for b in Polarity:
+            assert a * b is b * a
+            for c in Polarity:
+                assert (a * b) * c is a * (b * c)
