@@ -11,7 +11,7 @@ the closer to the root it ends up.
 
 from importlib import resources
 
-from .conllu import Token, children_of, graph_root
+from .conllu import Token, graph_root
 from .polarity import Polarity, push
 
 DEFAULT_UNKNOWN_LEVEL = 45
@@ -22,15 +22,14 @@ _NOMINAL_UPOS = {"NOUN", "PROPN", "PRON"}
 class RelationHierarchy:
     """Relation label -> level-id priority table."""
 
-    def __init__(self, levels, default_level=DEFAULT_UNKNOWN_LEVEL):
+    def __init__(self, levels):
         self.levels = dict(levels)
-        self.default_level = default_level
 
     def level(self, label):
-        return self.levels.get(label, self.default_level)
+        return self.levels.get(label, DEFAULT_UNKNOWN_LEVEL)
 
     @classmethod
-    def from_text(cls, text, default_level=DEFAULT_UNKNOWN_LEVEL):
+    def from_text(cls, text):
         levels = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
@@ -46,12 +45,12 @@ class RelationHierarchy:
                 raise ValueError(
                     f"hierarchy line {lineno}: non-integer level {level!r}"
                 ) from None
-        return cls(levels, default_level)
+        return cls(levels)
 
     @classmethod
-    def from_file(cls, path, default_level=DEFAULT_UNKNOWN_LEVEL):
+    def from_file(cls, path):
         with open(path, encoding="utf-8") as f:
-            return cls.from_text(f.read(), default_level)
+            return cls.from_text(f.read())
 
     @classmethod
     def default(cls):
@@ -158,9 +157,9 @@ def refine_relation(deprel, head, dependent, graph):
     """
     if deprel != "conj":
         return deprel
-    head_rels = {rel for rel, _ in children_of(graph, head)}
-    dep_rels = {rel for rel, _ in children_of(graph, dependent)}
-    if "nsubj" in head_rels and "nsubj" in dep_rels:
+    relations = graph.relations
+    dep_rels = relations.get(dependent.id, frozenset())
+    if "nsubj" in dep_rels and "nsubj" in relations[head.id]:
         return "conj-sent"
     if dep_rels & {"obj", "xcomp", "ccomp"}:
         return "conj-vp"
@@ -173,28 +172,10 @@ def refine_relation(deprel, head, dependent, graph):
     return "conj-np"
 
 
-def _subtree_min_id(graph, token):
-    lo = token.id
-    stack = [token]
-    while stack:
-        for _, child in children_of(graph, stack.pop()):
-            lo = min(lo, child.id)
-            stack.append(child)
-    return lo
-
-
-def _refine_sentential(label, head, dependent, graph, root):
-    """advcl/advmod attached to the root and spanning the sentence start
-    become their sentence-level variants."""
-    if label in ("advcl", "advmod") and head.id == root.id:
-        if _subtree_min_id(graph, dependent) == 1:
-            return label + "-sent"
-    return label
-
-
 def sort_children(children, hierarchy):
     """Order (relation, token) pairs by level-id, ties by token id."""
-    return sorted(children, key=lambda rt: (hierarchy.level(rt[0]), rt[1].id))
+    level = hierarchy.levels.get
+    return sorted(children, key=lambda rt: (level(rt[0], DEFAULT_UNKNOWN_LEVEL), rt[1].id))
 
 
 def binarize(graph, hierarchy=None):
@@ -202,33 +183,30 @@ def binarize(graph, hierarchy=None):
 
     For each head, dependents are sorted by hierarchy priority; the
     highest-priority dependent is split off as the left child and the head
-    with its remaining dependents is composed as the right child.
+    with its remaining dependents is composed as the right child. An
+    advcl/advmod of the root whose subtree holds the first token takes its
+    sentence-level label (advcl-sent/advmod-sent).
     """
     if hierarchy is None:
         hierarchy = RelationHierarchy.default()
     root = graph_root(graph)
-
-    def refined_children(token):
-        out = []
-        for rel, child in children_of(graph, token):
-            label = refine_relation(rel, token, child, graph)
-            label = _refine_sentential(label, token, child, graph, root)
-            out.append((label, child))
-        return out
-
+    children = graph._children
     # breadth first over the dependency tree (the loop also visits the
     # tokens appended during it); composing in reverse order builds every
     # dependent's subtree before its head's spine needs it
     tokens = [root]
-    dependents = []
     for token in tokens:
-        sorted_deps = sort_children(refined_children(token), hierarchy)
-        dependents.append(sorted_deps)
-        tokens += [child for _, child in sorted_deps]
+        tokens += children.get(token.id, ())
     built = {}
-    for token, sorted_deps in zip(reversed(tokens), reversed(dependents)):
+    for token in reversed(tokens):
+        deps = []
+        for child in children.get(token.id, ()):
+            label = refine_relation(child.deprel, token, child, graph)
+            if label in ("advcl", "advmod") and token is root and built[child.id].min_id == 1:
+                label += "-sent"
+            deps.append((label, child))
         node = BinaryDepTree(token)
-        for label, child in reversed(sorted_deps):
+        for label, child in reversed(sort_children(deps, hierarchy)):
             node = BinaryDepTree(label, built.pop(child.id), node)
         built[token.id] = node
     return built[root.id]

@@ -7,6 +7,7 @@ nodes ("5.1") are skipped: polarization runs on the basic tree only.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class ConlluError(Exception):
@@ -47,6 +48,11 @@ class DependencyGraph:
             for kids in self._children.values():
                 kids.sort(key=lambda t: t.id)
 
+    @cached_property
+    def relations(self):
+        """Head id -> the set of relations its dependents attach by."""
+        return {head: {t.deprel for t in kids} for head, kids in self._children.items()}
+
     def token_by_id(self, tid):
         for tok in self.tokens:
             if tok.id == tid:
@@ -56,10 +62,10 @@ class DependencyGraph:
 
 def graph_root(graph):
     """Return the unique token whose head is 0."""
-    for tok in graph.tokens:
-        if tok.head == 0:
-            return tok
-    raise ValidationError(f"sentence {graph.sent_id or '?'}: no root token")
+    roots = graph._children.get(0)
+    if not roots:
+        raise ValidationError(f"sentence {graph.sent_id or '?'}: no root token")
+    return roots[0]
 
 
 def children_of(graph, token):
@@ -144,7 +150,7 @@ def sentence_blocks(text, first_line=1, first_sentence=1):
     lines = []
     start = ordinal = 0
     is_sentence = False  # the block has a line other than a comment
-    for lineno, line in enumerate(text.splitlines(), start=first_line):
+    for lineno, line in enumerate(text.split("\n"), start=first_line):
         if line.strip():
             if not lines:
                 start = lineno

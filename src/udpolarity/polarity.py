@@ -60,7 +60,7 @@ class Polarity(enum.Enum):
 
 # the hot paths compare with module globals: looking a member up on the
 # enum class takes several times as long
-_UP, _DOWN = Polarity.UP, Polarity.DOWN
+_UP, _DOWN, _FLAT = Polarity.UP, Polarity.DOWN, Polarity.FLAT
 
 
 class MarkError(Exception):
@@ -90,19 +90,19 @@ def negate_subtree(tree):
     unassigned mark on the node or its children is a MarkError."""
     if any(n is not None and n.mark is None for n in (tree, tree.left, tree.right)):
         raise MarkError("negation over an unassigned mark")
-    _apply(Polarity.DOWN, tree)
+    _apply(_DOWN, tree)
 
 
 def equalize_subtree(tree):
     """Set every node of the subtree to FLAT."""
-    _apply(Polarity.FLAT, tree)
+    _apply(_FLAT, tree)
 
 
 def _topdown(op, tree, name):
     """Apply `op` to the parent's own mark and to the sibling's subtree."""
     parent = tree.parent
     if parent is None:
-        verb = "negate" if op is Polarity.DOWN else "equalize"
+        verb = "negate" if op is _DOWN else "equalize"
         raise MarkError(f"top-down {name} at the root has nothing to {verb}")
     if parent.mark is not None:
         parent.mark = op * parent.mark
@@ -115,7 +115,7 @@ def topdown_negation(tree):
     Unassigned marks are skipped; those nodes later inherit the flipped
     mark of their nearest marked ancestor anyway.
     """
-    _topdown(Polarity.DOWN, tree, "negation")
+    _topdown(_DOWN, tree, "negation")
 
 
 def topdown_equalization(tree):
@@ -124,4 +124,4 @@ def topdown_equalization(tree):
     Companion of topdown_negation for no-information contexts (e.g. an
     exact-cardinality quantifier flattening its clause).
     """
-    _topdown(Polarity.FLAT, tree, "equalization")
+    _topdown(_FLAT, tree, "equalization")

@@ -33,8 +33,10 @@ from dataclasses import dataclass
 from .binarize import BinaryDepTree
 from .lexicon import is_downward_operator, load_lexicon
 from .polarity import (
+    _DOWN,
+    _FLAT,
+    _UP,
     MarkError,
-    Polarity,
     equalize_subtree,
     negate_subtree,
     topdown_equalization,
@@ -158,9 +160,11 @@ class _Run:
         self.suppressed = set()
 
     def polarize(self, tree):
+        if tree.left is not None and tree.left.mark is not None:
+            raise MarkError("the tree is polarized already")
         self.tokens_by_id = {leaf.val.id: leaf.val for leaf in tree.leaves()}
         if tree.mark is None:
-            tree.mark = Polarity.UP
+            tree.mark = _UP
         if tree.left is not None:
             self.visit(tree)
         # the walk resolves every pending operator down to the leaves
@@ -184,9 +188,9 @@ class _Run:
 
 def _react(trigger, target):
     """Negate the target under an antitone trigger, flatten it under =."""
-    if trigger.mark is Polarity.DOWN:
+    if trigger.mark is _DOWN:
         negate_subtree(target)
-    elif trigger.mark is Polarity.FLAT:
+    elif trigger.mark is _FLAT:
         equalize_subtree(target)
 
 
@@ -224,7 +228,7 @@ def rule_clause_mod(run, node):
     monotone regardless of the inherited mark, then is negated or
     flattened according to the modified head's mark."""
     node.right.mark = node.mark
-    node.left.mark = Polarity.UP
+    node.left.mark = _UP
     yield node.right
     yield node.left
     _react(node.right, node.left)
@@ -241,7 +245,7 @@ def rule_determiner(run, node):
     context. Anything else defaults to an existential profile.
     """
     node.left.mark = node.mark
-    outside = Polarity.UP  # the operator on the clause outside the phrase
+    outside = _UP  # the operator on the clause outside the phrase
     profile, covered = _scan_quantifier_phrase(node, run.lexicon, run.tokens_by_id)
     if profile is not None:
         run.suppressed |= covered
@@ -251,13 +255,13 @@ def rule_determiner(run, node):
         node.left.mark = node.mark.flipped()
         node.right.mark = node.mark
     else:
-        node.right.mark = Polarity.UP  # unknown determiner: existential reading
+        node.right.mark = _UP  # unknown determiner: existential reading
     yield node.left
     yield node.right
     if node.parent is not None:
-        if outside is Polarity.DOWN:
+        if outside is _DOWN:
             topdown_negation(node)
-        elif outside is Polarity.FLAT:
+        elif outside is _FLAT:
             topdown_equalization(node)
 
 
@@ -293,7 +297,11 @@ RULES = {
 
 
 def polarize(tree, lexicon=None):
-    """Assign a polarity mark to every node of a freshly binarized tree."""
+    """Assign a polarity mark to every node of a freshly binarized tree.
+
+    The root may carry a start mark (↑ when it has none); a tree whose
+    root's children are marked already is a MarkError.
+    """
     if lexicon is None:
         lexicon = load_lexicon()
     return _Run(lexicon).polarize(tree)

@@ -48,6 +48,47 @@ def test_10000_token_chain_runs_every_stage():
     assert all(mark is Polarity.UP for _tok, mark in annotated.tokens)
 
 
+def flat_coordination(n):
+    """CoNLL-U of n nouns, every one after the first a `conj` of the first."""
+    rows = [(1, "dogs", "dog", "NOUN", 0, "root")]
+    rows += [(i, "cats", "cat", "NOUN", 1, "conj") for i in range(2, n + 1)]
+    return workloads.conllu_block("coordination", rows)
+
+
+def test_10000_token_flat_coordination_runs_every_stage():
+    (graph,) = parse_conllu(flat_coordination(10000))
+    tree = binarize(graph)
+    polarize(tree)
+    sexpr = render(project_to_tokens(tree, graph), "sexpr")
+    assert sexpr.count("(conj-n^ ") == 9999
+    assert all(node.mark is Polarity.UP for node in tree.nodes())
+
+
+def _children_read_binarizing(n):
+    """Entries read from the graph's children table while binarizing a
+    flat coordination of n nouns."""
+    (graph,) = parse_conllu(flat_coordination(n))
+    reads = [0]
+
+    class Counted(list):
+        def __iter__(self):
+            for token in list.__iter__(self):
+                reads[0] += 1
+                yield token
+
+    graph._children = {head: Counted(kids) for head, kids in graph._children.items()}
+    binarize(graph)
+    return reads[0]
+
+
+def test_flat_coordination_binarizes_linearly():
+    # rebuilding the head's relation set for every conj dependent reads
+    # about n^2 entries, so doubling the coordination would quadruple it
+    small = _children_read_binarizing(1000)
+    large = _children_read_binarizing(2000)
+    assert 0 < large <= 2.2 * small, (small, large)
+
+
 def test_no_recursion_limit_change_in_package():
     for path in SRC.rglob("*.py"):
         assert "setrecursionlimit" not in path.read_text("utf-8"), path

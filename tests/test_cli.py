@@ -55,6 +55,13 @@ def test_polarize_empty_input(tmp_path):
     assert out == ""
 
 
+def test_form_with_line_separator(tmp_path):
+    rows = [(1, "a\u2028b", "ab", "NOUN", 2, "nsubj"), (2, "ran", "run", "VERB", 0, "root")]
+    path = write(tmp_path, "u2028.conllu", conllu_block(rows))
+    code, out, err = run_cli(["polarize", path])
+    assert (code, out, err) == (0, "a\u2028b↑ ran↑\n", "")
+
+
 def test_polarize_malformed_fails_without_lenient(tmp_path):
     path = write(tmp_path, "bad.conllu", "1\tonly\tthree\n")
     code, _out, err = run_cli(["polarize", path])

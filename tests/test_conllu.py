@@ -83,6 +83,21 @@ def test_comment_keys_match_exactly():
         parse_conllu(looped)
 
 
+def test_lines_break_at_newline_only():
+    # U+2028 is a line separator to str.splitlines, not to CoNLL-U
+    rows = [(1, "a\u2028b", "ab", "NOUN", 2, "nsubj"), (2, "ran", "run", "VERB", 0, "root")]
+    (graph,) = parse_conllu(conllu_block(rows))
+    assert [t.form for t in graph.tokens] == ["a\u2028b", "ran"]
+
+
+def test_crlf_text_parses():
+    (graph,) = parse_conllu(ALL_DOGS_EAT_FOOD.replace("\n", "\r\n"))
+    assert graph.sentence_text == "All dogs eat food."
+    assert [(t.form, t.head, t.deprel) for t in graph.tokens] == [
+        ("All", 2, "det"), ("dogs", 3, "nsubj"), ("eat", 0, "root"), ("food", 3, "obj"),
+    ]
+
+
 def test_multiword_ranges_and_empty_nodes_skipped():
     text = (
         "1-2\tdon't\t_\t_\t_\t_\t_\t_\t_\t_\n"

@@ -71,6 +71,15 @@ def test_polarize_changes_only_marks(mini_corpus):
         assert stripped == shape_before
 
 
+def test_polarize_twice_is_mark_error(mini_corpus):
+    tree = binarize(mini_corpus[0])
+    polarize(tree)
+    before = to_sexpression(tree)
+    with pytest.raises(MarkError, match="polarized already"):
+        polarize(tree)
+    assert to_sexpression(tree) == before
+
+
 def test_polarize_deterministic(mini_corpus):
     outputs = []
     for _ in range(3):
@@ -410,14 +419,37 @@ def test_clause_initial_advcl_refines_to_sentential():
 
 
 def test_clause_initial_advmod_refines_to_sentential():
+    direct = [
+        (1, "Today", "today", "ADV", 3, "advmod"),
+        (2, "dogs", "dog", "NOUN", 3, "nsubj"),
+        (3, "ran", "run", "VERB", 0, "root"),
+    ]
+    # the clause-initial word is a dependent of the advmod
+    grandchild = [
+        (1, "Very", "very", "ADV", 2, "advmod"),
+        (2, "often", "often", "ADV", 4, "advmod"),
+        (3, "dogs", "dog", "NOUN", 4, "nsubj"),
+        (4, "ran", "run", "VERB", 0, "root"),
+    ]
+    for rows in (direct, grandchild):
+        assert binarize(graph_of(rows)).val == "advmod-sent"
+
+
+def test_clause_initial_advcl_below_the_root_stays_plain():
     g = graph_of(
         [
-            (1, "Today", "today", "ADV", 3, "advmod"),
-            (2, "dogs", "dog", "NOUN", 3, "nsubj"),
-            (3, "ran", "run", "VERB", 0, "root"),
+            (1, "If", "if", "SCONJ", 2, "mark"),
+            (2, "asked", "ask", "VERB", 4, "advcl"),
+            (3, "dogs", "dog", "NOUN", 4, "nsubj"),
+            (4, "said", "say", "VERB", 6, "ccomp"),
+            (5, "cats", "cat", "NOUN", 6, "nsubj"),
+            (6, "think", "think", "VERB", 0, "root"),
         ]
     )
-    assert binarize(g).val == "advmod-sent"
+    tree = binarize(g)
+    labels = [n.val for n in tree.nodes() if not n.is_leaf]
+    assert "advcl" in labels
+    assert "advcl-sent" not in labels
 
 
 def test_medial_advmod_stays_plain():
