@@ -53,8 +53,9 @@ def main():
         print("=" * 72)
         print(f"sentence: {graph.sentence_text}")
         print("\nparse edges (head <-deprel- dependent):")
+        by_id = {t.id: t for t in graph.tokens}
         for tok in graph.tokens:
-            head = "ROOT" if tok.head == 0 else graph.token_by_id(tok.head).form
+            head = "ROOT" if tok.head == 0 else by_id[tok.head].form
             print(f"  {head:>10} <-{tok.deprel}- {tok.form}")
 
         tree = binarize(graph)

@@ -21,7 +21,6 @@ from .conllu import (
     DependencyGraph,
     Token,
     ValidationError,
-    children_of,
     graph_root,
     parse_conllu,
     serialize_conllu,
@@ -84,7 +83,6 @@ __all__ = [
     "align",
     "apply_word_rule",
     "binarize",
-    "children_of",
     "equalize_subtree",
     "evaluate",
     "graph_root",

@@ -12,7 +12,6 @@ failure.
 """
 
 import argparse
-import concurrent.futures
 import functools
 import sys
 
@@ -20,6 +19,7 @@ from . import evaluation as ev
 from .binarize import RelationHierarchy, binarize
 from .conllu import ConlluError, parse_conllu, sentence_blocks
 from .lexicon import LexiconError, load_lexicon
+from .polarity import MarkError
 from .polarize import polarize, project_to_tokens
 from .render import render
 
@@ -39,8 +39,9 @@ def _annotate(hierarchy, lexicon, fmt, block):
 
     Returns the sentence rendered in `fmt` (a DOT graph numbered 0), or
     its (Token, mark) pairs when `fmt` is None; None for a block with no
-    tokens and the ConlluError of an invalid one. A worker process returns
-    no tree: pickling one recurses as deep as the tree.
+    tokens, the ConlluError of an invalid one and the MarkError of one the
+    polarizer fails on. A worker process returns no tree: pickling one
+    recurses as deep as the tree.
     """
     where, line, ordinal, lines = block
     try:
@@ -51,8 +52,11 @@ def _annotate(hierarchy, lexicon, fmt, block):
         return None
     (graph,) = graphs
     tree = binarize(graph, hierarchy)
-    polarize(tree, lexicon)
-    annotated = project_to_tokens(tree, graph)
+    try:
+        polarize(tree, lexicon)
+        annotated = project_to_tokens(tree, graph)
+    except MarkError as exc:
+        return MarkError(f"{where}sentence {graph.sent_id}: {exc}")
     return annotated.tokens if fmt is None else render(annotated, fmt)
 
 
@@ -62,8 +66,8 @@ def _annotate_inputs(args, fmt, err):
 
     Each file is split into sentences on its own, so lines and sentence
     positions in errors count within the file, which errors name when
-    there are several. An invalid sentence stops the run with its
-    ConlluError or, with --lenient, is reported and skipped.
+    there are several. A sentence that fails stops the run with its
+    ConlluError or MarkError or, with --lenient, is reported and skipped.
     """
     if not args.paths:
         texts = [("<stdin>", sys.stdin.read())]
@@ -86,7 +90,9 @@ def _annotate_inputs(args, fmt, err):
     annotate = functools.partial(_annotate, hierarchy, lexicon, fmt)
     pool = None
     if args.jobs > 1 and len(blocks) > 1:
-        pool = concurrent.futures.ProcessPoolExecutor(args.jobs)
+        from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
+
+        pool = ProcessPoolExecutor(args.jobs)
         chunksize = -(-len(blocks) // (args.jobs * CHUNKS_PER_JOB))
         results = pool.map(annotate, blocks, chunksize=chunksize)
     else:
@@ -94,7 +100,7 @@ def _annotate_inputs(args, fmt, err):
     sentences = []
     try:
         for result in results:
-            if isinstance(result, ConlluError):
+            if isinstance(result, (ConlluError, MarkError)):
                 if not args.lenient:
                     raise result
                 print(f"skipping sentence: {result}", file=err)
@@ -111,7 +117,7 @@ def _annotate_inputs(args, fmt, err):
 def cmd_polarize(args, out, err):
     try:
         rendered = _annotate_inputs(args, args.format, err)
-    except (OSError, ConlluError, LexiconError, ValueError) as exc:
+    except (OSError, ConlluError, MarkError, LexiconError, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_ERROR
     for block in rendered:
@@ -129,7 +135,7 @@ def cmd_eval(args, out, err):
     except ev.AlignmentError as exc:
         print(f"alignment error: {exc}", file=err)
         return EXIT_ALIGNMENT
-    except (OSError, ConlluError, LexiconError, ValueError) as exc:
+    except (OSError, ConlluError, MarkError, LexiconError, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_ERROR
     if args.key_only:

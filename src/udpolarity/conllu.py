@@ -6,8 +6,8 @@ input and written back as '_'. Multiword-token ranges ("3-4") and empty
 nodes ("5.1") are skipped: polarization runs on the basic tree only.
 """
 
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 
 class ConlluError(Exception):
@@ -18,8 +18,7 @@ class ValidationError(ConlluError):
     """Structurally invalid sentence (cycle, multiple roots, dangling head)."""
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     id: int
     form: str
     lemma: str
@@ -32,32 +31,23 @@ class Token:
         return self.upos == "PUNCT" or self.deprel == "punct"
 
 
-@dataclass
 class DependencyGraph:
     """One parsed sentence: tokens plus the head/deprel edges they carry."""
 
-    tokens: list[Token]
-    sentence_text: str = ""
-    sent_id: str = ""
-    _children: dict[int, list[Token]] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        if not self._children:
-            for tok in self.tokens:
-                self._children.setdefault(tok.head, []).append(tok)
-            for kids in self._children.values():
-                kids.sort(key=lambda t: t.id)
+    def __init__(self, tokens, sentence_text="", sent_id=""):
+        self.tokens = tokens
+        self.sentence_text = sentence_text
+        self.sent_id = sent_id
+        self._children = {}  # head id -> its dependents in token-id order
+        for tok in tokens:
+            self._children.setdefault(tok.head, []).append(tok)
+        for kids in self._children.values():
+            kids.sort(key=lambda t: t.id)
 
     @cached_property
     def relations(self):
         """Head id -> the set of relations its dependents attach by."""
         return {head: {t.deprel for t in kids} for head, kids in self._children.items()}
-
-    def token_by_id(self, tid):
-        for tok in self.tokens:
-            if tok.id == tid:
-                return tok
-        raise KeyError(tid)
 
 
 def graph_root(graph):
@@ -66,11 +56,6 @@ def graph_root(graph):
     if not roots:
         raise ValidationError(f"sentence {graph.sent_id or '?'}: no root token")
     return roots[0]
-
-
-def children_of(graph, token):
-    """All (deprel, dependent) pairs governed by `token`, in token-id order."""
-    return [(t.deprel, t) for t in graph._children.get(token.id, [])]
 
 
 def _validate(tokens, label):

@@ -7,7 +7,8 @@ rest precision/recall/F1 per polarity label. Punctuation and other unscored
 tokens (mark None on the prediction side) are excluded throughout.
 """
 
-from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .conllu import sentence_blocks
 from .polarity import Polarity
@@ -23,29 +24,27 @@ class AlignmentError(Exception):
     """Prediction and gold sentences do not line up."""
 
 
-@dataclass
-class GoldSentence:
+class GoldSentence(NamedTuple):
     sent_id: str
     tokens: list  # (form, upos, Polarity) triples
 
 
-@dataclass
 class ScoredToken:
-    form: str
-    upos: str
-    predicted: object  # Polarity | None (None = unscored)
-    gold: Polarity
+    def __init__(self, form, upos, predicted, gold):
+        self.form = form
+        self.upos = upos
+        self.predicted = predicted  # Polarity | None (None = unscored)
+        self.gold = gold
 
 
-@dataclass
-class EvalReport:
+class EvalReport(NamedTuple):
     token_acc_all: float
     token_acc_key: float
     sent_acc_all: float
     sent_acc_key: float
     prf_all: dict  # Polarity -> (precision|None, recall|None, f1|None)
     prf_key: dict
-    counts: dict = field(default_factory=dict)
+    counts: dict = MappingProxyType({})  # a shared default, so read-only
 
 
 def is_key_token(upos):

@@ -6,11 +6,11 @@ overridden by user files of the same format. Lookups are case-insensitive
 and multi-word surface forms are supported throughout.
 """
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
+from typing import NamedTuple
 
-from .polarity import Polarity
+from .polarity import _DOWN, Polarity
 
 NUM_WILDCARD = "<num>"
 
@@ -21,31 +21,27 @@ class LexiconError(Exception):
     """Malformed or conflicting lexicon data."""
 
 
-@dataclass(frozen=True)
-class QuantifierProfile:
+class QuantifierProfile(NamedTuple):
     surface: tuple  # lowercase word forms; NUM_WILDCARD matches any NUM token
     first_arg: Polarity
     second_arg: Polarity
     category: str
 
-    def __post_init__(self):
-        if self.category not in CATEGORIES:
-            raise LexiconError(f"unknown quantifier category {self.category!r}")
-        is_neg_marks = (self.first_arg, self.second_arg) == (Polarity.DOWN, Polarity.DOWN)
-        if (self.category == "negation") != is_neg_marks:
-            raise LexiconError(
-                "category 'negation' must coincide with a (down, down) profile: "
-                f"{' '.join(self.surface)}"
-            )
 
-
-@dataclass
 class Lexicon:
-    quantifiers: dict = field(default_factory=dict)  # surface tuple -> profile
-    comparatives: dict = field(default_factory=dict)  # surface tuple -> profile
-    implicatives: dict = field(default_factory=dict)  # lemma -> downward bool
-    negation_words: set = field(default_factory=set)  # surface tuples
-    conditional_words: set = field(default_factory=set)  # single lowercase words
+    def __init__(
+        self,
+        quantifiers=None,  # surface tuple -> profile
+        comparatives=None,  # surface tuple -> profile
+        implicatives=None,  # lemma -> downward bool
+        negation_words=None,  # surface tuples
+        conditional_words=None,  # single lowercase words
+    ):
+        self.quantifiers = {} if quantifiers is None else quantifiers
+        self.comparatives = {} if comparatives is None else comparatives
+        self.implicatives = {} if implicatives is None else implicatives
+        self.negation_words = set() if negation_words is None else negation_words
+        self.conditional_words = set() if conditional_words is None else conditional_words
 
     def profile(self, tokens):
         """Profile of a contiguous token span, or None. Quantifiers beat
@@ -118,9 +114,14 @@ def _load_quantifier_rows(rows, target, sources, allow_override):
         surface, first, second, category = parts
         key = _surface_key(surface)
         try:
-            profile = QuantifierProfile(
-                key, Polarity.from_symbol(first), Polarity.from_symbol(second), category
-            )
+            first, second = Polarity.from_symbol(first), Polarity.from_symbol(second)
+            if category not in CATEGORIES:
+                raise ValueError(f"unknown quantifier category {category!r}")
+            if (category == "negation") != ((first, second) == (_DOWN, _DOWN)):
+                raise ValueError(
+                    "category 'negation' must coincide with a (down, down) profile: "
+                    f"{' '.join(key)}"
+                )
         except ValueError as exc:
             raise LexiconError(f"{name} line {lineno}: {exc}") from None
         if key in sources and not (allow_override and sources[key] == "<builtin>"):
@@ -129,7 +130,7 @@ def _load_quantifier_rows(rows, target, sources, allow_override):
                 f"(already defined in {sources[key]})"
             )
         sources[key] = name
-        target[key] = profile
+        target[key] = QuantifierProfile(key, first, second, category)
 
 
 def _load_implicative_rows(rows, target, sources, allow_override):

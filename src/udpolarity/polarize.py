@@ -28,7 +28,7 @@ the rules in progress on an explicit stack, so tree depth is bounded by
 memory, not by the interpreter's recursion limit.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .binarize import BinaryDepTree
 from .lexicon import is_downward_operator, load_lexicon
@@ -54,8 +54,7 @@ _PHRASE_STOP_UPOS = {"NOUN", "PROPN", "VERB", "AUX", "PUNCT"}
 _PHRASE_SCAN_LIMIT = 6
 
 
-@dataclass
-class AnnotatedSentence:
+class AnnotatedSentence(NamedTuple):
     """Token-level marks plus the fully marked tree behind them."""
 
     tokens: list  # (Token, Polarity | None) pairs; None = unscored (punct)

@@ -45,8 +45,9 @@ def test_unknown_relation_gets_default_level():
 
 def test_refine_identity_for_non_conj():
     g = graph_of(ALL_DOGS_EAT_APPLES)
+    by_id = {t.id: t for t in g.tokens}
     eat = graph_root(g)
-    dogs = g.token_by_id(2)
+    dogs = by_id[2]
     assert refine_relation("nsubj", eat, dogs, g) == "nsubj"
 
 
@@ -59,7 +60,8 @@ def test_refine_conj_nouns():
             (4, "sit", "sit", "VERB", 0, "root"),
         ]
     )
-    assert refine_relation("conj", g.token_by_id(1), g.token_by_id(3), g) == "conj-n"
+    by_id = {t.id: t for t in g.tokens}
+    assert refine_relation("conj", by_id[1], by_id[3], g) == "conj-n"
 
 
 def test_refine_conj_sent_when_both_have_subjects():
@@ -72,7 +74,8 @@ def test_refine_conj_sent_when_both_have_subjects():
             (5, "slept", "sleep", "VERB", 2, "conj"),
         ]
     )
-    assert refine_relation("conj", g.token_by_id(2), g.token_by_id(5), g) == "conj-sent"
+    by_id = {t.id: t for t in g.tokens}
+    assert refine_relation("conj", by_id[2], by_id[5], g) == "conj-sent"
 
 
 def test_refine_conj_vp_when_conjunct_has_object():
@@ -86,7 +89,8 @@ def test_refine_conj_vp_when_conjunct_has_object():
             (6, "water", "water", "NOUN", 5, "obj"),
         ]
     )
-    assert refine_relation("conj", g.token_by_id(2), g.token_by_id(5), g) == "conj-vp"
+    by_id = {t.id: t for t in g.tokens}
+    assert refine_relation("conj", by_id[2], by_id[5], g) == "conj-vp"
 
 
 def test_refine_conj_adj_and_verb():
@@ -98,24 +102,27 @@ def test_refine_conj_adj_and_verb():
             (4, "ran", "run", "VERB", 1, "conj"),
         ]
     )
-    assert refine_relation("conj", g.token_by_id(1), g.token_by_id(3), g) == "conj-adj"
-    assert refine_relation("conj", g.token_by_id(1), g.token_by_id(4), g) == "conj-vb"
+    by_id = {t.id: t for t in g.tokens}
+    assert refine_relation("conj", by_id[1], by_id[3], g) == "conj-adj"
+    assert refine_relation("conj", by_id[1], by_id[4], g) == "conj-vb"
 
 
 # ---------------------------------------------------------------- sorting
 
 def test_sort_children_by_level():
     g = graph_of(ALL_DOGS_EAT_APPLES)
+    by_id = {t.id: t for t in g.tokens}
     h = RelationHierarchy.default()
-    dogs, apples = g.token_by_id(2), g.token_by_id(4)
+    dogs, apples = by_id[2], by_id[4]
     out = sort_children([("obj", apples), ("nsubj", dogs)], h)
     assert [rel for rel, _ in out] == ["nsubj", "obj"]
 
 
 def test_sort_children_singleton():
     g = graph_of(ALL_DOGS_EAT_APPLES)
+    by_id = {t.id: t for t in g.tokens}
     h = RelationHierarchy.default()
-    single = [("det", g.token_by_id(1))]
+    single = [("det", by_id[1])]
     assert sort_children(single, h) == single
 
 
@@ -127,8 +134,9 @@ def test_sort_children_tie_breaks_by_token_id():
             (3, "today", "today", "NOUN", 1, "obl"),
         ]
     )
+    by_id = {t.id: t for t in g.tokens}
     h = RelationHierarchy.default()
-    out = sort_children([("obl", g.token_by_id(3)), ("obl", g.token_by_id(2))], h)
+    out = sort_children([("obl", by_id[3]), ("obl", by_id[2])], h)
     assert [t.id for _rel, t in out] == [2, 3]
 
 

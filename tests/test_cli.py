@@ -1,7 +1,18 @@
 import io
+import os
 import pathlib
+import subprocess
+import sys
 
-from udpolarity import binarize, parse_conllu, polarize, project_to_tokens, render_inline
+from udpolarity import (
+    MarkError,
+    binarize,
+    parse_conllu,
+    polarize,
+    project_to_tokens,
+    render_inline,
+)
+from udpolarity import cli
 from udpolarity.cli import main
 
 from .conftest import DATA, conllu_block, workloads
@@ -21,8 +32,6 @@ FIG1 = conllu_block(
 def run_cli(argv, stdin_text=None, monkeypatch=None):
     out, err = io.StringIO(), io.StringIO()
     if stdin_text is not None:
-        import sys
-
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
     code = main(argv, out=out, err=err)
     return code, out.getvalue(), err.getvalue()
@@ -307,6 +316,48 @@ def test_errors_name_the_file_and_its_own_line(tmp_path):
     assert code == 0
     assert out.splitlines() == ["All↑ dogs↓ eat↑ food↑"] * 2
     assert err == f"skipping sentence: {second}: line 2: non-integer head 'x'\n"
+
+
+def test_mark_errors_name_the_file_and_sentence(tmp_path, monkeypatch):
+    def failing_polarize(tree, lexicon):
+        if any(leaf.val.form == "poison" for leaf in tree.leaves()):
+            raise MarkError("token 4 ('poison') has no mark")
+        return polarize(tree, lexicon)
+
+    monkeypatch.setattr(cli, "polarize", failing_polarize)
+    first = write(tmp_path, "a.conllu", FIG1)
+    bad = FIG1.replace("fig1", "bad").replace("food", "poison")
+    second = write(tmp_path, "b.conllu", bad + "\n" + FIG1.replace("fig1", "after"))
+    reason = f"{second}: sentence bad: token 4 ('poison') has no mark\n"
+    assert run_cli(["polarize", first, second]) == (1, "", f"error: {reason}")
+    code, out, err = run_cli(["polarize", "--lenient", first, second])
+    assert code == 0
+    assert out.splitlines() == ["All↑ dogs↓ eat↑ food↑"] * 2
+    assert err == f"skipping sentence: {reason}"
+
+
+def test_jobs_1_run_imports_no_dataclasses_or_process_pool():
+    # both cost start-up time on every run; only a --jobs N pool may load one
+    script = (
+        "import runpy, sys\n"
+        "sys.argv = ['udpolarity', 'polarize', '--format', 'sexpr']\n"
+        "try:\n"
+        "    runpy.run_module('udpolarity.cli', run_name='__main__')\n"
+        "finally:\n"
+        "    print(*sorted(sys.modules))\n"
+    )
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    child = subprocess.run(
+        [sys.executable, "-c", script],
+        input="",
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        check=True,
+    )
+    loaded = set(child.stdout.split())
+    assert "udpolarity.polarize" in loaded
+    assert not loaded & {"dataclasses", "concurrent.futures"}
 
 
 def test_jobs_2_matches_jobs_1_across_files_skips_and_deep_trees(tmp_path):

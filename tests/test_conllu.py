@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from udpolarity import (
     ConlluError,
     ValidationError,
-    children_of,
     graph_root,
     parse_conllu,
     serialize_conllu,
@@ -138,7 +137,7 @@ def test_graph_root_refused_sentence():
 def test_children_of_eat():
     g = graph_of(ALL_DOGS_EAT_APPLES)
     eat = graph_root(g)
-    assert [(rel, t.form) for rel, t in children_of(g, eat)] == [
+    assert [(t.deprel, t.form) for t in g._children[eat.id]] == [
         ("nsubj", "dogs"),
         ("obj", "apples"),
     ]
@@ -146,8 +145,7 @@ def test_children_of_eat():
 
 def test_children_of_leaf_is_empty():
     g = graph_of(ALL_DOGS_EAT_APPLES)
-    leaf = g.token_by_id(1)
-    assert children_of(g, leaf) == []
+    assert g._children.get(1, []) == []
 
 
 def test_children_of_xcomp_root():
@@ -163,7 +161,7 @@ def test_children_of_xcomp_root():
         ]
     )
     root = graph_root(g)
-    assert [(rel, t.form) for rel, t in children_of(g, root)] == [
+    assert [(t.deprel, t.form) for t in g._children[root.id]] == [
         ("nsubj", "member"),
         ("xcomp", "attend"),
     ]
@@ -179,7 +177,7 @@ def test_children_partition_non_root_tokens(mini_corpus):
     for g in mini_corpus:
         seen = []
         for tok in g.tokens:
-            seen.extend(t.id for _rel, t in children_of(g, tok))
+            seen.extend(t.id for t in g._children.get(tok.id, []))
         non_root = [t.id for t in g.tokens if t.head != 0]
         assert sorted(seen) == sorted(non_root)
 

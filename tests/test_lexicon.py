@@ -193,6 +193,24 @@ def test_negation_profile_validation(tmp_path):
         load_lexicon(quantifier_paths=[bad])
 
 
+def test_unknown_category_names_file_and_line(tmp_path):
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("bogus\tup\tup\tbogus\n", encoding="utf-8")
+    with pytest.raises(LexiconError) as info:
+        load_lexicon(quantifier_paths=[bad])
+    assert str(info.value) == f"{bad} line 1: unknown quantifier category 'bogus'"
+
+
+def test_negation_category_error_names_file_and_line(tmp_path):
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("nary a\tdown\tup\tnegation\n", encoding="utf-8")
+    with pytest.raises(LexiconError) as info:
+        load_lexicon(quantifier_paths=[bad])
+    assert str(info.value) == (
+        f"{bad} line 1: category 'negation' must coincide with a (down, down) profile: nary a"
+    )
+
+
 def test_implicative_user_file_extends_defaults(tmp_path):
     extra = tmp_path / "imp.tsv"
     extra.write_text("hesitate\tdownward\nmanage\tupward\n", encoding="utf-8")
