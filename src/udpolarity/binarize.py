@@ -157,9 +157,10 @@ def refine_relation(deprel, head, dependent, graph):
     """
     if deprel != "conj":
         return deprel
-    relations = graph.relations
-    dep_rels = relations.get(dependent.id, frozenset())
-    if "nsubj" in dep_rels and "nsubj" in relations[head.id]:
+    # each token is one relation's dependent, so these sets cost linear time
+    # in all; a head's set, read once per conjunct, is the graph's, built once
+    dep_rels = {t.deprel for t in graph._children.get(dependent.id, ())}
+    if "nsubj" in dep_rels and "nsubj" in graph.relations[head.id]:
         return "conj-sent"
     if dep_rels & {"obj", "xcomp", "ccomp"}:
         return "conj-vp"
@@ -191,23 +192,26 @@ def binarize(graph, hierarchy=None):
         hierarchy = RelationHierarchy.default()
     root = graph_root(graph)
     children = graph._children
-    # breadth first over the dependency tree (the loop also visits the
-    # tokens appended during it); composing in reverse order builds every
-    # dependent's subtree before its head's spine needs it
-    tokens = [root]
-    for token in tokens:
-        tokens += children.get(token.id, ())
+    # composing the breadth-first order backwards builds every dependent's
+    # subtree before its head's spine needs it
     built = {}
-    for token in reversed(tokens):
-        deps = []
-        for child in children.get(token.id, ()):
-            label = refine_relation(child.deprel, token, child, graph)
-            if label in ("advcl", "advmod") and token is root and built[child.id].min_id == 1:
-                label += "-sent"
-            deps.append((label, child))
+    for token in reversed(graph.order):
         node = BinaryDepTree(token)
-        for label, child in reversed(sort_children(deps, hierarchy)):
-            node = BinaryDepTree(label, built.pop(child.id), node)
+        kids = children.get(token.id)
+        if kids is not None:
+            deps = []
+            for child in kids:
+                label = child.deprel
+                if label == "conj":
+                    label = refine_relation(label, token, child, graph)
+                elif (token is root and label in ("advcl", "advmod")
+                      and built[child.id].min_id == 1):
+                    label += "-sent"
+                deps.append((label, child))
+            if len(deps) > 1:
+                deps = sort_children(deps, hierarchy)
+            for label, child in reversed(deps):
+                node = BinaryDepTree(label, built.pop(child.id), node)
         built[token.id] = node
     return built[root.id]
 

@@ -45,7 +45,7 @@ def _annotate(hierarchy, lexicon, fmt, block):
     """
     where, line, ordinal, lines = block
     try:
-        graphs = parse_conllu("\n".join(lines), line, ordinal)
+        graphs = parse_conllu(lines, line, ordinal)
     except ConlluError as exc:
         return ConlluError(f"{where}{exc}")
     if not graphs:  # every token line is a multiword range or an empty node
@@ -70,12 +70,12 @@ def _annotate_inputs(args, fmt, err):
     ConlluError or MarkError or, with --lenient, is reported and skipped.
     """
     if not args.paths:
-        texts = [("<stdin>", sys.stdin.read())]
+        texts = [("<stdin>", sys.stdin.read().removeprefix("\ufeff"))]
     else:
         texts = []
         for path in args.paths:
             with open(path, encoding="utf-8") as f:
-                texts.append((path, f.read()))
+                texts.append((path, f.read().removeprefix("\ufeff")))
     blocks = [
         (f"{path}: " if len(texts) > 1 else "", *block)
         for path, text in texts
@@ -154,6 +154,13 @@ def cmd_render(args, out, err):
     return cmd_polarize(args, out, err)
 
 
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="udpolarity",
@@ -176,7 +183,7 @@ def build_parser():
             action="store_true",
             help="report invalid sentences and continue instead of failing",
         )
-        p.add_argument("--jobs", type=int, default=1, help="parallel sentence workers")
+        p.add_argument("--jobs", type=positive_int, default=1, help="parallel sentence workers")
 
     p_pol = sub.add_parser("polarize", help="annotate CoNLL-U input")
     common(p_pol)

@@ -31,6 +31,9 @@ class Token(NamedTuple):
         return self.upos == "PUNCT" or self.deprel == "punct"
 
 
+_tuple_new = tuple.__new__  # builds a Token in C, not in its Python __new__
+
+
 class DependencyGraph:
     """One parsed sentence: tokens plus the head/deprel edges they carry."""
 
@@ -38,16 +41,25 @@ class DependencyGraph:
         self.tokens = tokens
         self.sentence_text = sentence_text
         self.sent_id = sent_id
-        self._children = {}  # head id -> its dependents in token-id order
-        for tok in tokens:
-            self._children.setdefault(tok.head, []).append(tok)
-        for kids in self._children.values():
-            kids.sort(key=lambda t: t.id)
+        # head id -> its dependents in token-id order (a Token's id leads
+        # the tuple, so sorting the tokens sorts every head's dependents)
+        children = self._children = {}
+        for tok in sorted(tokens):
+            children.setdefault(tok.head, []).append(tok)
 
     @cached_property
     def relations(self):
         """Head id -> the set of relations its dependents attach by."""
         return {head: {t.deprel for t in kids} for head, kids in self._children.items()}
+
+    @cached_property
+    def order(self):
+        """The tokens the root reaches, breadth first from the root."""
+        children = self._children
+        order = children.get(0, [])[:1]
+        for tok in order:  # also visits the tokens appended during the loop
+            order += children.get(tok.id, ())
+        return order
 
 
 def graph_root(graph):
@@ -58,84 +70,50 @@ def graph_root(graph):
     return roots[0]
 
 
-def _validate(tokens, label):
-    ids = [t.id for t in tokens]
-    if len(set(ids)) != len(ids):
-        raise ValidationError(f"sentence {label}: duplicate token ids")
-    roots = [t for t in tokens if t.head == 0]
-    if len(roots) != 1:
-        raise ValidationError(
-            f"sentence {label}: expected exactly one root, found {len(roots)}"
-        )
-    known = set(ids)
+def _fault(graph):
+    """The first fault, in a fixed order, of a sentence _parse_block refuses."""
+    tokens = graph.tokens
+    known = {t.id: t for t in tokens}
+    if len(known) != len(tokens):
+        return "duplicate token ids"
+    roots = len(graph._children.get(0, ()))
+    if roots != 1:
+        return f"expected exactly one root, found {roots}"
     for t in tokens:
         if t.id < 1:
-            raise ValidationError(f"sentence {label}: token id {t.id} < 1")
+            return f"token id {t.id} < 1"
         if t.head == t.id:
-            raise ValidationError(
-                f"sentence {label}: token {t.id} is its own head"
-            )
+            return f"token {t.id} is its own head"
         if t.head != 0 and t.head not in known:
-            raise ValidationError(
-                f"sentence {label}: token {t.id} has dangling head {t.head}"
-            )
-        if t.head >= 0 and not t.deprel:
-            raise ValidationError(f"sentence {label}: token {t.id} lacks a deprel")
-    # every token must reach the root; anything left over sits on a cycle.
-    # Each walk up the heads colours the tokens it passes with its own
-    # number and stops at the first coloured one: an earlier colour is known
-    # to reach the root, its own colour closes a cycle.
-    parent = {t.id: t.head for t in tokens}
-    colour = {0: -1}
-    for walk, t in enumerate(tokens):
-        cur = t.id
-        while cur not in colour:
-            colour[cur] = walk
-            cur = parent[cur]
-        if colour[cur] == walk:
-            raise ValidationError(f"sentence {label}: cycle through token {cur}")
-
-
-def _parse_token_line(line, lineno):
-    cols = line.split("\t")
-    if len(cols) != 10:
-        raise ConlluError(f"line {lineno}: expected 10 columns, got {len(cols)}")
-    tid, form, lemma, upos, _xpos, _feats, head, deprel, _deps, _misc = cols
-    if "-" in tid or "." in tid:
-        return None  # multiword range / empty node
-    try:
-        tid_val = int(tid)
-    except ValueError:
-        raise ConlluError(f"line {lineno}: non-integer token id {tid!r}") from None
-    try:
-        head_val = int(head)
-    except ValueError:
-        raise ConlluError(f"line {lineno}: non-integer head {head!r}") from None
-    if head_val < 0:
-        raise ConlluError(f"line {lineno}: negative head {head_val}")
-    return Token(
-        id=tid_val,
-        form=form,
-        lemma=lemma if lemma != "_" else form.lower(),
-        upos=upos,
-        head=head_val,
-        deprel=deprel if deprel != "_" else "",
-    )
+            return f"token {t.id} has dangling head {t.head}"
+        if not t.deprel:
+            return f"token {t.id} lacks a deprel"
+    # the root does not reach every token, and no head is missing: the
+    # first token left out leads up into a cycle
+    reached = set(graph.order)
+    tok = next(t for t in tokens if t not in reached)
+    seen = set()
+    while tok.id not in seen:
+        seen.add(tok.id)
+        tok = known[tok.head]
+    return f"cycle through token {tok.id}"
 
 
 def sentence_blocks(text, first_line=1, first_sentence=1):
-    """Split CoNLL-U text into sentence blocks.
+    """Split CoNLL-U text, or a list of its lines, into sentence blocks.
 
-    A block ends at an empty or whitespace-only line; blocks of comments
-    alone hold no sentence and are dropped. Yields (line, ordinal, lines):
-    the input line number of the block's first line, the block's position
-    among the sentences, and its lines. Both count from `first_line` and
-    `first_sentence`, for text that is a piece of a larger input.
+    Text breaks into lines at "\n" only; a block ends at an empty or
+    whitespace-only line, and blocks of comments alone are dropped. Yields
+    (line, ordinal, lines): the input line number of the block's first
+    line, the block's position among the sentences, and its lines, counted
+    from `first_line` and `first_sentence` for a piece of a larger input.
     """
     lines = []
     start = ordinal = 0
     is_sentence = False  # the block has a line other than a comment
-    for lineno, line in enumerate(text.split("\n"), start=first_line):
+    if isinstance(text, str):
+        text = text.split("\n")
+    for lineno, line in enumerate(text, start=first_line):
         if line.strip():
             if not lines:
                 start = lineno
@@ -156,28 +134,52 @@ def _parse_block(lines, first_line, ordinal):
     is a multiword range or an empty node."""
     tokens = []
     comments = {}  # `# key = value` lines; the last of a key wins
+    unlabelled = False  # a token's deprel is "_" or empty
     for lineno, line in enumerate(lines, start=first_line):
-        if line.startswith("#"):
+        if line[0] == "#":
             key, sep, value = line[1:].partition("=")
             if sep:
                 comments[key.strip()] = value.strip()
             continue
-        tok = _parse_token_line(line, lineno)
-        if tok is not None:
-            tokens.append(tok)
+        cols = line.split("\t")
+        if len(cols) != 10:
+            raise ConlluError(f"line {lineno}: expected 10 columns, got {len(cols)}")
+        tid, form, lemma, upos, _xpos, _feats, head, deprel, _deps, _misc = cols
+        if "-" in tid or "." in tid:
+            continue  # multiword range / empty node
+        try:
+            tid = int(tid)
+        except ValueError:
+            raise ConlluError(f"line {lineno}: non-integer token id {tid!r}") from None
+        try:
+            head = int(head)
+        except ValueError:
+            raise ConlluError(f"line {lineno}: non-integer head {head!r}") from None
+        if head < 0:
+            raise ConlluError(f"line {lineno}: negative head {head}")
+        if deprel == "_" or not deprel:
+            deprel = ""
+            unlabelled = True
+        if lemma == "_":
+            lemma = form.lower()
+        tokens.append(_tuple_new(Token, (tid, form, lemma, upos, head, deprel)))
     if not tokens:
         return None
     sent_id = comments.get("sent_id") or str(ordinal)
-    _validate(tokens, sent_id)
-    return DependencyGraph(
-        tokens=tokens,
-        sentence_text=comments.get("text") or " ".join(t.form for t in tokens),
-        sent_id=sent_id,
-    )
+    text = comments.get("text") or " ".join([t.form for t in tokens])
+    graph = DependencyGraph(tokens, text, sent_id)
+    # a tree has unique ids from 1 (else `order` may never end), one root
+    # and labels throughout, and the root reaches every token: a self-head,
+    # a dangling head or a cycle leaves some token out
+    ids = {t.id for t in tokens}
+    if (len(ids) != len(tokens) or len(graph._children.get(0, ())) != 1 or min(ids) < 1
+            or unlabelled or len(graph.order) != len(tokens)):
+        raise ValidationError(f"sentence {sent_id}: {_fault(graph)}")
+    return graph
 
 
 def parse_conllu(text, first_line=1, first_sentence=1):
-    """Parse CoNLL-U text into a list of DependencyGraph, one per sentence.
+    """Parse CoNLL-U text, or its lines, into one DependencyGraph per sentence.
 
     Errors name the input line, or the sentence by its sent_id or, without
     one, its position; `first_line` and `first_sentence` are the numbers of
@@ -201,21 +203,8 @@ def serialize_conllu(graphs):
         if graph.sentence_text:
             lines.append(f"# text = {graph.sentence_text}")
         for t in graph.tokens:
-            lines.append(
-                "\t".join(
-                    [
-                        str(t.id),
-                        t.form,
-                        t.lemma or "_",
-                        t.upos or "_",
-                        "_",
-                        "_",
-                        str(t.head),
-                        t.deprel or "_",
-                        "_",
-                        "_",
-                    ]
-                )
-            )
+            cols = (str(t.id), t.form, t.lemma or "_", t.upos or "_", "_", "_",
+                    str(t.head), t.deprel or "_", "_", "_")
+            lines.append("\t".join(cols))
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + ("\n" if blocks else "")

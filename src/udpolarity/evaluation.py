@@ -165,7 +165,7 @@ def load_gold(path):
     """Read a gold file: sent_id<TAB>form<TAB>upos<TAB>mark per token,
     blank line between sentences."""
     with open(path, encoding="utf-8") as f:
-        text = f.read()
+        text = f.read().removeprefix("\ufeff")
     sentences = []
     for first_line, _ordinal, lines in sentence_blocks(text):
         tokens = []

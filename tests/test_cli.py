@@ -398,3 +398,28 @@ def test_jobs_2_matches_jobs_1_across_files_skips_and_deep_trees(tmp_path):
     assert code == 0, err
     assert "sentences=5" in out
     assert len(err.splitlines()) == 7
+
+
+def test_byte_order_mark_is_dropped(tmp_path, monkeypatch):
+    # Windows tools start UTF-8 files with U+FEFF
+    corpus = (DATA / "mini_corpus.conllu").read_text("utf-8")
+    gold = (DATA / "mini_gold.tsv").read_text("utf-8")
+    plain = write(tmp_path, "plain.conllu", corpus)
+    bom = write(tmp_path, "bom.conllu", "\ufeff" + corpus)
+    bom_gold = write(tmp_path, "bom_gold.tsv", "\ufeff" + gold)
+    expected = run_cli(["polarize", plain])
+    assert expected[0] == 0 and expected[1]
+    assert run_cli(["polarize", bom]) == expected
+    assert run_cli(["polarize"], stdin_text="\ufeff" + corpus, monkeypatch=monkeypatch) == expected
+    scored = run_cli(["eval", plain, "--gold", str(DATA / "mini_gold.tsv")])
+    assert scored[0] == 0
+    assert run_cli(["eval", bom, "--gold", bom_gold]) == scored
+
+
+def test_jobs_below_1_is_a_usage_error(tmp_path, capsys):
+    path = write(tmp_path, "fig1.conllu", FIG1)
+    for jobs in ("0", "-2", "two"):
+        code, out, _err = run_cli(["polarize", "--jobs", jobs, path])
+        assert (code, out) == (1, "")
+        assert "argument --jobs" in capsys.readouterr().err
+    assert run_cli(["polarize", "--jobs", "1", path])[0] == 0

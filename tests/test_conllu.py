@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,12 +7,17 @@ from hypothesis import strategies as st
 from udpolarity import (
     ConlluError,
     ValidationError,
+    binarize,
     graph_root,
+    load_lexicon,
     parse_conllu,
+    polarize,
+    project_to_tokens,
+    render,
     serialize_conllu,
 )
 
-from .conftest import ALL_DOGS_EAT_APPLES, conllu_block, graph_of
+from .conftest import ALL_DOGS_EAT_APPLES, DATA, conllu_block, graph_of, workloads
 
 ALL_DOGS_EAT_FOOD = """# text = All dogs eat food.
 1\tAll\tall\tDET\t_\t_\t2\tdet\t_\t_
@@ -189,3 +196,123 @@ def test_parser_never_raises_unstructured_errors(text):
         parse_conllu(text)
     except ConlluError:
         pass  # structured error is the contract
+
+
+def reference_fault(rows):
+    """The validator as one pass per kind of fault, in the order whose
+    first failing check names a sentence's fault; None for a valid tree."""
+    ids = [r[0] for r in rows]
+    if len(set(ids)) != len(ids):
+        return "duplicate token ids"
+    roots = [r for r in rows if r[4] == 0]
+    if len(roots) != 1:
+        return f"expected exactly one root, found {len(roots)}"
+    for tid, _form, _lemma, _upos, head, deprel in rows:
+        if tid < 1:
+            return f"token id {tid} < 1"
+        if head == tid:
+            return f"token {tid} is its own head"
+        if head != 0 and head not in ids:
+            return f"token {tid} has dangling head {head}"
+        if deprel in ("", "_"):
+            return f"token {tid} lacks a deprel"
+    # each walk up the heads colours the tokens it passes and stops at the
+    # first coloured one: an earlier colour reaches the root, its own
+    # colour closes a cycle
+    parent = {r[0]: r[4] for r in rows}
+    colour = {0: -1}
+    for walk, tid in enumerate(ids):
+        while tid not in colour:
+            colour[tid] = walk
+            tid = parent[tid]
+        if colour[tid] == walk:
+            return f"cycle through token {tid}"
+    return None
+
+
+def _below(rows, tid):
+    """Ids of the tokens under token `tid`."""
+    below, frontier = set(), {tid}
+    while frontier:
+        frontier = {r[0] for r in rows if r[4] in frontier} - below
+        below |= frontier
+    return below
+
+
+def _with_faults(rng, rows, count):
+    """`rows` of a valid tree with `count` faults put in at random."""
+    rows = [list(r) for r in rows]
+    for _ in range(count):
+        row = rng.choice(rows)
+        # a cycle is named only when no other fault is, so it comes up twice as often
+        fault = rng.choice(
+            ["duplicate", "root", "id0", "self", "dangling", "deprel", "cycle", "cycle"]
+        )
+        if fault == "duplicate":
+            row[0] = rng.choice(rows)[0]
+        elif fault == "root":
+            row[4] = 0
+        elif fault == "id0":
+            row[0] = 0
+        elif fault == "self":
+            row[4] = row[0]
+        elif fault == "dangling":
+            row[4] = len(rows) + rng.randint(1, 3)
+        elif fault == "deprel":
+            row[5] = rng.choice(["_", ""])
+        elif _below(rows, row[0]):  # a cycle: hang the token under itself
+            row[4] = rng.choice(sorted(_below(rows, row[0])))
+    if rng.random() < 0.5:
+        rng.shuffle(rows)
+    return [tuple(r) for r in rows]
+
+
+FAULT_MESSAGES = {
+    "duplicate": "duplicate token ids",
+    "root": "expected exactly one root",
+    "id0": "< 1",
+    "self": "is its own head",
+    "dangling": "has dangling head",
+    "deprel": "lacks a deprel",
+    "cycle": "cycle through token",
+}
+
+
+def test_validation_names_the_first_fault_of_each_sentence():
+    rng = random.Random(8)
+    faults = set()
+    for _ in range(3000):
+        rows = _with_faults(rng, workloads.random_rows(rng, rng.randint(1, 9)), rng.randint(1, 3))
+        expected = reference_fault(rows)
+        text = conllu_block(rows, sent_id="f")
+        if expected is None:
+            (graph,) = parse_conllu(text)
+            assert sorted(graph.tokens) == sorted(rows)
+            continue
+        with pytest.raises(ValidationError) as info:
+            parse_conllu(text)
+        assert str(info.value) == f"sentence f: {expected}", rows
+        faults.update(k for k, message in FAULT_MESSAGES.items() if message in expected)
+    assert faults == set(FAULT_MESSAGES)  # each kind of fault came first somewhere
+
+
+def test_token_lines_out_of_order_parse_as_sorted():
+    rng = random.Random(3)
+    lexicon = load_lexicon()
+    mini = (DATA / "mini_corpus.conllu").read_text("utf-8")
+    blocks = mini.strip().split("\n\n")
+    blocks += [conllu_block(workloads.random_rows(rng, 25), sent_id=f"r{i}") for i in range(50)]
+    for block in blocks:
+        lines = block.strip().split("\n")
+        comments = [line for line in lines if line.startswith("#")]
+        rows = [line for line in lines if not line.startswith("#")]
+        rng.shuffle(rows)
+        (ordered,) = parse_conllu(block)
+        (shuffled,) = parse_conllu(comments + rows)  # a list of lines parses too
+        assert shuffled._children == ordered._children
+        sexprs = []
+        for graph in (ordered, shuffled):
+            tree = binarize(graph)
+            polarize(tree, lexicon)
+            sexprs.append(render(project_to_tokens(tree, graph), "sexpr"))
+        assert sexprs[0] == sexprs[1]
