@@ -9,9 +9,8 @@ hierarchy: the smaller a relation's level-id, the earlier it is composed and
 the closer to the root it ends up.
 """
 
-from importlib import resources
-
 from .conllu import Token, graph_root
+from .lexicon import bundled_rows, read_rows
 from .polarity import Polarity, push
 
 DEFAULT_UNKNOWN_LEVEL = 45
@@ -29,33 +28,29 @@ class RelationHierarchy:
         return self.levels.get(label, DEFAULT_UNKNOWN_LEVEL)
 
     @classmethod
-    def from_text(cls, text):
-        levels = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"hierarchy line {lineno}: expected label<TAB>level")
-            label, level = parts
-            try:
-                levels[label] = int(level)
-            except ValueError:
-                raise ValueError(
-                    f"hierarchy line {lineno}: non-integer level {level!r}"
-                ) from None
-        return cls(levels)
-
-    @classmethod
     def from_file(cls, path):
-        with open(path, encoding="utf-8") as f:
-            return cls.from_text(f.read())
+        return cls(_levels(read_rows(path)))
 
     @classmethod
     def default(cls):
-        text = resources.files("udpolarity.data").joinpath("hierarchy.tsv").read_text("utf-8")
-        return cls.from_text(text)
+        return cls(_levels(bundled_rows("hierarchy.tsv")))
+
+
+def _levels(rows):
+    """label -> level of the rows of a hierarchy table."""
+    levels = {}
+    for name, lineno, line in rows:
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ValueError(f"{name} line {lineno}: expected label<TAB>level")
+        label, level = parts
+        try:
+            levels[label] = int(level)
+        except ValueError:
+            raise ValueError(
+                f"{name} line {lineno}: non-integer level {level!r}"
+            ) from None
+    return levels
 
 
 class BinaryDepTree:

@@ -1,13 +1,15 @@
 """Word-level polarity knowledge: quantifier profiles, implicative verbs,
 negation operators and conditional markers.
 
-The default tables ship with the package; each can be extended or
-overridden by user files of the same format. Lookups are case-insensitive
-and multi-word surface forms are supported throughout.
+The tables ship with the package; the quantifier and implicative tables
+can be extended or overridden by user files of the same format. Lookups
+are case-insensitive and multi-word surface forms are supported
+throughout.
 """
 
 from functools import cached_property
 from importlib import resources
+from itertools import chain
 from typing import NamedTuple
 
 from .polarity import _DOWN, Polarity
@@ -29,19 +31,12 @@ class QuantifierProfile(NamedTuple):
 
 
 class Lexicon:
-    def __init__(
-        self,
-        quantifiers=None,  # surface tuple -> profile
-        comparatives=None,  # surface tuple -> profile
-        implicatives=None,  # lemma -> downward bool
-        negation_words=None,  # surface tuples
-        conditional_words=None,  # single lowercase words
-    ):
-        self.quantifiers = {} if quantifiers is None else quantifiers
-        self.comparatives = {} if comparatives is None else comparatives
-        self.implicatives = {} if implicatives is None else implicatives
-        self.negation_words = set() if negation_words is None else negation_words
-        self.conditional_words = set() if conditional_words is None else conditional_words
+    def __init__(self):
+        self.quantifiers = {}  # surface tuple -> profile
+        self.comparatives = {}  # surface tuple -> profile
+        self.implicatives = {}  # lemma -> downward bool
+        self.negation_words = set()  # surface tuples
+        self.conditional_words = set()  # single lowercase words
 
     def profile(self, tokens):
         """Profile of a contiguous token span, or None. Quantifiers beat
@@ -92,13 +87,16 @@ def _surface_key(surface):
     return tuple(words)
 
 
-def _read_rows(source, is_path):
-    if is_path:
-        with open(source, encoding="utf-8") as f:
-            text = f.read()
-        name = str(source)
-    else:
-        text, name = source, "<builtin>"
+def read_rows(path, name=None):
+    """The rows of a data table as (name, line number, line).
+
+    Each line is stripped; blank lines and '#' comments are skipped, and
+    one leading byte order mark is dropped, as from input files. `name`
+    stands for the table in error messages; it defaults to the path.
+    """
+    with open(path, encoding="utf-8") as f:
+        text = f.read().removeprefix("\ufeff")
+    name = str(path) if name is None else name
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -106,7 +104,13 @@ def _read_rows(source, is_path):
         yield name, lineno, line
 
 
-def _load_quantifier_rows(rows, target, sources, allow_override):
+def bundled_rows(filename):
+    """The rows of a table shipped in udpolarity/data, named <builtin>."""
+    return read_rows(resources.files("udpolarity.data").joinpath(filename), "<builtin>")
+
+
+def _load_quantifier_rows(rows, target):
+    sources = {}  # key -> name of the table that defined it
     for name, lineno, line in rows:
         parts = line.split("\t")
         if len(parts) != 4:
@@ -124,7 +128,7 @@ def _load_quantifier_rows(rows, target, sources, allow_override):
                 )
         except ValueError as exc:
             raise LexiconError(f"{name} line {lineno}: {exc}") from None
-        if key in sources and not (allow_override and sources[key] == "<builtin>"):
+        if key in sources:
             raise LexiconError(
                 f"duplicate quantifier {' '.join(key)!r} in {name} line {lineno} "
                 f"(already defined in {sources[key]})"
@@ -133,7 +137,8 @@ def _load_quantifier_rows(rows, target, sources, allow_override):
         target[key] = QuantifierProfile(key, first, second, category)
 
 
-def _load_implicative_rows(rows, target, sources, allow_override):
+def _load_implicative_rows(rows, target):
+    sources = {}  # lemma -> name of the table that defined it
     for name, lineno, line in rows:
         parts = line.split("\t")
         if len(parts) != 2:
@@ -141,7 +146,7 @@ def _load_implicative_rows(rows, target, sources, allow_override):
         lemma, direction = parts[0].lower(), parts[1].lower()
         if direction not in ("downward", "upward"):
             raise LexiconError(f"{name} line {lineno}: direction must be downward|upward")
-        if lemma in sources and not (allow_override and sources[lemma] == "<builtin>"):
+        if lemma in sources:
             raise LexiconError(
                 f"duplicate implicative {lemma!r} in {name} line {lineno} "
                 f"(already defined in {sources[lemma]})"
@@ -150,59 +155,22 @@ def _load_implicative_rows(rows, target, sources, allow_override):
         target[lemma] = direction == "downward"
 
 
-def _load_phrase_rows(rows, target):
-    for _name, _lineno, line in rows:
-        target.add(tuple(line.lower().split()))
+def load_lexicon(quantifier_paths=(), implicative_paths=()):
+    """Build a Lexicon from the bundled tables plus optional user files.
 
-
-def _builtin(name):
-    return resources.files("udpolarity.data").joinpath(name).read_text("utf-8")
-
-
-def load_lexicon(
-    quantifier_paths=(),
-    implicative_paths=(),
-    negation_paths=(),
-    conditional_paths=(),
-    include_defaults=True,
-):
-    """Build a Lexicon from the bundled defaults plus optional user files.
-
-    User files may override default entries; the same surface form defined
+    User files may override bundled entries; the same surface form defined
     twice across (or within) user files is an error naming both sources.
     """
     lex = Lexicon()
-
-    quant_sources = {}
-    imp_sources = {}
-    if include_defaults:
-        _load_quantifier_rows(
-            _read_rows(_builtin("quantifiers.tsv"), False),
-            lex.quantifiers, quant_sources, allow_override=False,
-        )
-        _load_quantifier_rows(
-            _read_rows(_builtin("comparatives.tsv"), False),
-            lex.comparatives, {}, allow_override=False,
-        )
-        _load_implicative_rows(
-            _read_rows(_builtin("implicatives.tsv"), False),
-            lex.implicatives, imp_sources, allow_override=False,
-        )
-        _load_phrase_rows(_read_rows(_builtin("negation_words.txt"), False), lex.negation_words)
-        for _n, _l, line in _read_rows(_builtin("conditional_words.txt"), False):
-            lex.conditional_words.add(line.lower())
-
-    for path in quantifier_paths:
-        _load_quantifier_rows(
-            _read_rows(path, True), lex.quantifiers, quant_sources, allow_override=True
-        )
-    for path in implicative_paths:
-        _load_implicative_rows(
-            _read_rows(path, True), lex.implicatives, imp_sources, allow_override=True
-        )
-    for path in negation_paths:
-        _load_phrase_rows(_read_rows(path, True), lex.negation_words)
-    for path in conditional_paths:
-        for _n, _l, line in _read_rows(path, True):
-            lex.conditional_words.add(line.lower())
+    # each call refuses a key its own rows define twice, so a user file may
+    # replace a bundled row; nothing else may define a key twice
+    _load_quantifier_rows(bundled_rows("quantifiers.tsv"), lex.quantifiers)
+    _load_quantifier_rows(chain(*map(read_rows, quantifier_paths)), lex.quantifiers)
+    _load_quantifier_rows(bundled_rows("comparatives.tsv"), lex.comparatives)
+    _load_implicative_rows(bundled_rows("implicatives.tsv"), lex.implicatives)
+    _load_implicative_rows(chain(*map(read_rows, implicative_paths)), lex.implicatives)
+    for _name, _lineno, line in bundled_rows("negation_words.txt"):
+        lex.negation_words.add(tuple(line.lower().split()))
+    for _name, _lineno, line in bundled_rows("conditional_words.txt"):
+        lex.conditional_words.add(line.lower())
     return lex

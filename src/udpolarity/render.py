@@ -68,10 +68,9 @@ RENDERERS = {
 }
 
 
-def render(annotated, fmt, index=0):
-    if fmt == "dot":
-        return render_dot(annotated, index)
+def render(annotated, fmt):
     try:
-        return RENDERERS[fmt](annotated)
+        renderer = RENDERERS[fmt]
     except KeyError:
         raise ValueError(f"unknown output format {fmt!r}") from None
+    return renderer(annotated)

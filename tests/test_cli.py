@@ -423,3 +423,42 @@ def test_jobs_below_1_is_a_usage_error(tmp_path, capsys):
         assert (code, out) == (1, "")
         assert "argument --jobs" in capsys.readouterr().err
     assert run_cli(["polarize", "--jobs", "1", path])[0] == 0
+
+
+MOST_DOGS_BARK = conllu_block(
+    [
+        (1, "Most", "most", "DET", 2, "det"),
+        (2, "dogs", "dog", "NOUN", 3, "nsubj"),
+        (3, "bark", "bark", "VERB", 0, "root"),
+    ],
+    sent_id="most",
+    text="Most dogs bark",
+)
+
+
+def test_byte_order_mark_is_dropped_from_lexicon_file(tmp_path):
+    conllu = write(tmp_path, "most.conllu", MOST_DOGS_BARK)
+    quant = write(tmp_path, "q.tsv", "\ufeffmost\tflat\tflat\texact\n")
+    assert run_cli(["polarize", "--lexicon", quant, conllu]) == (0, "Most↑ dogs= bark=\n", "")
+
+
+def test_byte_order_mark_is_dropped_from_hierarchy_file(tmp_path):
+    rows = "# obj above nsubj\nnsubj\t60\nobj\t20\ndet\t55\n"
+    fig1 = write(tmp_path, "fig1.conllu", FIG1)
+    for name, text in (("h.tsv", rows), ("bom.tsv", "\ufeff" + rows)):
+        hier = write(tmp_path, name, text)
+        code, out, err = run_cli(["polarize", "--format", "sexpr", "--hierarchy", hier, fig1])
+        assert (code, err) == (0, "")
+        assert out.startswith("(obj")
+
+
+def test_hierarchy_errors_name_the_file_and_line(tmp_path):
+    conllu = write(tmp_path, "fig1.conllu", FIG1)
+    for text, message in (
+        ("nsubj\t20\n\nobj 60\n", "line 3: expected label<TAB>level"),
+        ("# levels\nnsubj\tx\n", "line 2: non-integer level 'x'"),
+    ):
+        hier = write(tmp_path, "h.tsv", text)
+        assert run_cli(["polarize", "--hierarchy", hier, conllu]) == (
+            1, "", f"error: {hier} {message}\n"
+        )

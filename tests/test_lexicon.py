@@ -11,6 +11,7 @@ from udpolarity import (
     project_to_tokens,
     render_inline,
 )
+from udpolarity.lexicon import bundled_rows, read_rows
 
 from .conftest import annotate, graph_of
 
@@ -218,3 +219,25 @@ def test_implicative_user_file_extends_defaults(tmp_path):
     assert is_downward_operator("hesitate", lex)
     assert not is_downward_operator("manage", lex)
     assert is_downward_operator("refuse", lex)
+
+
+@pytest.mark.parametrize(
+    "table, row, kind",
+    [
+        ("quantifiers.tsv", "all\tdown\tup\tuniversal", "quantifier 'all'"),
+        ("comparatives.tsv", "more\tup\tflat\tcomparative", "quantifier 'more'"),
+        ("implicatives.tsv", "refuse\tdownward", "implicative 'refuse'"),
+    ],
+)
+def test_key_repeated_in_a_bundled_table_errors(tmp_path, monkeypatch, table, row, kind):
+    bundled = tmp_path / table
+    bundled.write_text(f"{row}\n# again\n{row}\n", encoding="utf-8")
+    monkeypatch.setattr(
+        "udpolarity.lexicon.bundled_rows",
+        lambda name: read_rows(bundled, "<builtin>") if name == table else bundled_rows(name),
+    )
+    with pytest.raises(LexiconError) as info:
+        load_lexicon()
+    assert str(info.value) == (
+        f"duplicate {kind} in <builtin> line 3 (already defined in <builtin>)"
+    )

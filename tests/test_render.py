@@ -1,4 +1,6 @@
-from udpolarity import render_dot, render_inline, render_sexpr, render_tsv
+import pytest
+
+from udpolarity import render, render_dot, render_inline, render_sexpr, render_tsv
 
 from .conftest import ALL_DOGS_EAT_APPLES, annotate
 
@@ -46,3 +48,8 @@ def test_dot_structure_and_escaping():
     assert dot.startswith("digraph sentence_3 {")
     assert '\\"hi\\"' in dot
     assert dot.count("->") == 2
+
+
+def test_unknown_format_is_a_value_error_naming_it():
+    with pytest.raises(ValueError, match="unknown output format 'svg'"):
+        render(annotate(ALL_DOGS_EAT_APPLES), "svg")
