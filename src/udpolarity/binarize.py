@@ -41,7 +41,7 @@ def _levels(rows):
     levels = {}
     for name, lineno, line in rows:
         parts = line.split("\t")
-        if len(parts) != 2:
+        if len(parts) != 2 or not parts[0]:
             raise ValueError(f"{name} line {lineno}: expected label<TAB>level")
         label, level = parts
         try:

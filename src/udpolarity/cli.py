@@ -13,11 +13,12 @@ failure.
 
 import argparse
 import functools
+import io
 import sys
 
 from . import evaluation as ev
 from .binarize import RelationHierarchy, binarize
-from .conllu import ConlluError, parse_conllu, sentence_blocks
+from .conllu import ConlluError, parse_conllu, read_text, sentence_blocks
 from .lexicon import LexiconError, load_lexicon
 from .polarity import MarkError
 from .polarize import polarize, project_to_tokens
@@ -69,13 +70,10 @@ def _annotate_inputs(args, fmt, err):
     there are several. A sentence that fails stops the run with its
     ConlluError or MarkError or, with --lenient, is reported and skipped.
     """
-    if not args.paths:
-        texts = [("<stdin>", sys.stdin.read().removeprefix("\ufeff"))]
+    if not args.paths:  # the bytes of the process's stdin, or a text stream
+        texts = [("<stdin>", read_text(getattr(sys.stdin, "buffer", sys.stdin), "<stdin>"))]
     else:
-        texts = []
-        for path in args.paths:
-            with open(path, encoding="utf-8") as f:
-                texts.append((path, f.read().removeprefix("\ufeff")))
+        texts = [(path, read_text(path)) for path in args.paths]
     blocks = [
         (f"{path}: " if len(texts) > 1 else "", *block)
         for path, text in texts
@@ -213,7 +211,10 @@ def build_parser():
 
 
 def main(argv=None, out=None, err=None):
-    out = out if out is not None else sys.stdout
+    if out is None:  # the process's stdout writes UTF-8, as output files would
+        out = sys.stdout
+        if isinstance(out, io.TextIOWrapper):
+            out.reconfigure(encoding="utf-8")
     err = err if err is not None else sys.stderr
     parser = build_parser()
     try:

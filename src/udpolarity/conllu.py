@@ -99,6 +99,32 @@ def _fault(graph):
     return f"cycle through token {tok.id}"
 
 
+def _newlines(text):
+    """Line ends "\r\n" and "\r" made "\n", as in a file read in text mode."""
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def read_text(source, name=None):
+    """The text of a UTF-8 input file, or of a stream such as stdin, with
+    line ends as in text mode and no leading byte order mark. Bytes that
+    are not UTF-8 are a ValueError naming the input (`name`, by default
+    the path) and the line."""
+    if hasattr(source, "read"):
+        data = source.read()
+    else:
+        with open(source, "rb") as f:
+            data = f.read()
+    try:
+        text = data if isinstance(data, str) else data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = _newlines(data[: exc.start].decode("utf-8")).count("\n") + 1
+        raise ValueError(
+            f"{source if name is None else name} line {line}: "
+            f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
+        ) from None
+    return _newlines(text).removeprefix("\ufeff")
+
+
 def sentence_blocks(text, first_line=1, first_sentence=1):
     """Split CoNLL-U text, or a list of its lines, into sentence blocks.
 

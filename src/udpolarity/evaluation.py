@@ -7,10 +7,9 @@ rest precision/recall/F1 per polarity label. Punctuation and other unscored
 tokens (mark None on the prediction side) are excluded throughout.
 """
 
-from types import MappingProxyType
 from typing import NamedTuple
 
-from .conllu import sentence_blocks
+from .conllu import read_text, sentence_blocks
 from .polarity import Polarity
 
 KEY_UPOS = {"NOUN", "PROPN", "VERB", "ADJ", "ADV", "DET", "NUM"}
@@ -44,25 +43,12 @@ class EvalReport(NamedTuple):
     sent_acc_key: float
     prf_all: dict  # Polarity -> (precision|None, recall|None, f1|None)
     prf_key: dict
-    counts: dict = MappingProxyType({})  # a shared default, so read-only
+    counts: dict  # sentences, tokens_scored_all, tokens_scored_key
 
 
 def is_key_token(upos):
     """Content words plus determiners and numbers."""
     return upos in KEY_UPOS
-
-
-def _scored(pairs, key_only):
-    """Yield per-sentence lists of ScoredToken that enter the metrics."""
-    for sent in pairs:
-        kept = []
-        for tok in sent:
-            if tok.predicted is None:
-                continue  # unscored (punctuation)
-            if key_only and not is_key_token(tok.upos):
-                continue
-            kept.append(tok)
-        yield kept
 
 
 def align(predicted, gold):
@@ -95,24 +81,46 @@ def align(predicted, gold):
     return pairs
 
 
+def _scope(pairs, key_only):
+    """(token accuracy, sentence accuracy, P/R/F1 per label, scored tokens)
+    of one scope, all tokens or key tokens only, from one pass that counts
+    the scored tokens per (gold, predicted) pair of marks and the sentences
+    whose scored tokens are all right."""
+    cells = dict.fromkeys([(g, p) for g in LABELS for p in LABELS], 0)
+    right = 0
+    for sent in pairs:
+        wrong = False
+        for tok in sent:
+            predicted = tok.predicted
+            if predicted is None or key_only and tok.upos not in KEY_UPOS:
+                continue  # unscored (punctuation), or not a key token
+            cells[tok.gold, predicted] += 1
+            wrong = wrong or predicted is not tok.gold
+        right += not wrong
+    prf = {}
+    for lab in LABELS:
+        tp = cells[lab, lab]
+        as_predicted = sum(cells[gold, lab] for gold in LABELS)
+        in_gold = sum(cells[lab, pred] for pred in LABELS)
+        p = 100.0 * tp / as_predicted if as_predicted else None
+        r = 100.0 * tp / in_gold if in_gold else None
+        f1 = None if p is None or r is None else (2 * p * r / (p + r) if p + r else 0.0)
+        prf[lab] = (p, r, f1)
+    tokens = sum(cells.values())
+    correct = sum(cells[lab, lab] for lab in LABELS)
+    token_acc = 100.0 * correct / tokens if tokens else 100.0
+    sent_acc = 100.0 * right / len(pairs) if pairs else 100.0
+    return token_acc, sent_acc, prf, tokens
+
+
 def token_accuracy(pairs, key_only=False):
     """Percentage of scored tokens whose predicted mark equals gold."""
-    correct = total = 0
-    for sent in _scored(pairs, key_only):
-        for tok in sent:
-            total += 1
-            correct += tok.predicted is tok.gold
-    return 100.0 * correct / total if total else 100.0
+    return _scope(pairs, key_only)[0]
 
 
 def sentence_accuracy(pairs, key_only=False):
     """Percentage of sentences with every scored token correct."""
-    if not pairs:
-        return 100.0
-    good = 0
-    for sent in _scored(pairs, key_only):
-        good += all(tok.predicted is tok.gold for tok in sent)
-    return 100.0 * good / len(pairs)
+    return _scope(pairs, key_only)[1]
 
 
 def prf_per_label(pairs, key_only=False):
@@ -121,53 +129,23 @@ def prf_per_label(pairs, key_only=False):
     A component is None ("n/a") when its denominator is empty, rather than
     a silently deflating zero.
     """
-    tp = {lab: 0 for lab in LABELS}
-    fp = {lab: 0 for lab in LABELS}
-    fn = {lab: 0 for lab in LABELS}
-    for sent in _scored(pairs, key_only):
-        for tok in sent:
-            if tok.predicted is tok.gold:
-                tp[tok.gold] += 1
-            else:
-                fp[tok.predicted] += 1
-                fn[tok.gold] += 1
-    out = {}
-    for lab in LABELS:
-        p = 100.0 * tp[lab] / (tp[lab] + fp[lab]) if tp[lab] + fp[lab] else None
-        r = 100.0 * tp[lab] / (tp[lab] + fn[lab]) if tp[lab] + fn[lab] else None
-        if p is None or r is None or p + r == 0:
-            f1 = None if (p is None or r is None) else 0.0
-        else:
-            f1 = 2 * p * r / (p + r)
-        out[lab] = (p, r, f1)
-    return out
+    return _scope(pairs, key_only)[2]
 
 
 def evaluate(pairs):
-    """Full report: both accuracy levels and per-label robustness."""
-    counts = {
-        "sentences": len(pairs),
-        "tokens_scored_all": sum(len(s) for s in _scored(pairs, False)),
-        "tokens_scored_key": sum(len(s) for s in _scored(pairs, True)),
-    }
-    return EvalReport(
-        token_acc_all=token_accuracy(pairs, False),
-        token_acc_key=token_accuracy(pairs, True),
-        sent_acc_all=sentence_accuracy(pairs, False),
-        sent_acc_key=sentence_accuracy(pairs, True),
-        prf_all=prf_per_label(pairs, False),
-        prf_key=prf_per_label(pairs, True),
-        counts=counts,
-    )
+    """Full report: both accuracy levels and per-label robustness, from
+    one pass over each scope."""
+    tok_all, sent_all, prf_all, n_all = _scope(pairs, False)
+    tok_key, sent_key, prf_key, n_key = _scope(pairs, True)
+    counts = {"sentences": len(pairs), "tokens_scored_all": n_all, "tokens_scored_key": n_key}
+    return EvalReport(tok_all, tok_key, sent_all, sent_key, prf_all, prf_key, counts)
 
 
 def load_gold(path):
     """Read a gold file: sent_id<TAB>form<TAB>upos<TAB>mark per token,
     blank line between sentences."""
-    with open(path, encoding="utf-8") as f:
-        text = f.read().removeprefix("\ufeff")
     sentences = []
-    for first_line, _ordinal, lines in sentence_blocks(text):
+    for first_line, _ordinal, lines in sentence_blocks(read_text(path)):
         tokens = []
         for lineno, line in enumerate(lines, start=first_line):
             if line.lstrip().startswith("#"):
@@ -188,30 +166,27 @@ def load_gold(path):
     return sentences
 
 
-def _fmt(value):
-    return "n/a" if value is None else f"{value:.1f}"
+def _fmt(value, digits):
+    return "n/a" if value is None else f"{value:.{digits}f}"
 
 
-def render_report(report, system="ours"):
+def render_report(report):
     """Human-readable tables: accuracy block plus per-label robustness."""
-    lines = []
-    lines.append("Token-level accuracy")
-    lines.append(f"  acc(all-tokens)  {report.token_acc_all:.1f}")
-    lines.append(f"  acc(key-tokens)  {report.token_acc_key:.1f}")
-    lines.append("Sentence-level accuracy")
-    lines.append(f"  acc(all-tokens)  {report.sent_acc_all:.1f}")
-    lines.append(f"  acc(key-tokens)  {report.sent_acc_key:.1f}")
+    lines = [
+        "Token-level accuracy",
+        f"  acc(all-tokens)  {report.token_acc_all:.1f}",
+        f"  acc(key-tokens)  {report.token_acc_key:.1f}",
+        "Sentence-level accuracy",
+        f"  acc(all-tokens)  {report.sent_acc_all:.1f}",
+        f"  acc(key-tokens)  {report.sent_acc_key:.1f}",
+    ]
     for title, prf in (("All Tokens", report.prf_all), ("Key Tokens", report.prf_key)):
-        lines.append(f"Robustness ({title}), system: {system}")
-        header = "  {:<12}".format("Polarity") + "".join(
-            f"{LABEL_NAMES[lab]:>12}" for lab in LABELS
-        )
-        lines.append(header)
-        for row_name, idx in (("precision", 0), ("recall", 1), ("F1-score", 2)):
-            row = "  {:<12}".format(row_name) + "".join(
-                f"{_fmt(prf[lab][idx]):>12}" for lab in LABELS
-            )
-            lines.append(row)
+        lines.append(f"Robustness ({title}), system: ours")
+        names = "".join(f"{LABEL_NAMES[lab]:>12}" for lab in LABELS)
+        lines.append(f"  {'Polarity':<12}{names}")
+        for idx, row in enumerate(("precision", "recall", "F1-score")):
+            cells = "".join(f"{_fmt(prf[lab][idx], 1):>12}" for lab in LABELS)
+            lines.append(f"  {row:<12}{cells}")
     return "\n".join(lines)
 
 
@@ -225,11 +200,8 @@ def render_report_kv(report):
     ]
     for scope, prf in (("all", report.prf_all), ("key", report.prf_key)):
         for lab in LABELS:
-            p, r, f1 = prf[lab]
-            tag = lab.name.lower()
-            for metric, value in (("precision", p), ("recall", r), ("f1", f1)):
-                text = "n/a" if value is None else f"{value:.6f}"
-                lines.append(f"{tag}_{metric}_{scope}={text}")
+            for metric, value in zip(("precision", "recall", "f1"), prf[lab]):
+                lines.append(f"{lab.name.lower()}_{metric}_{scope}={_fmt(value, 6)}")
     for key, value in report.counts.items():
         lines.append(f"{key}={value}")
     return "\n".join(lines)

@@ -12,6 +12,7 @@ from importlib import resources
 from itertools import chain
 from typing import NamedTuple
 
+from .conllu import read_text
 from .polarity import _DOWN, Polarity
 
 NUM_WILDCARD = "<num>"
@@ -79,29 +80,26 @@ def is_downward_operator(lemma, lexicon):
 
 
 def _surface_key(surface):
-    words = []
-    for w in surface.lower().split():
-        words.append(NUM_WILDCARD if w == "n" else w)
+    words = tuple(NUM_WILDCARD if w == "n" else w for w in surface.lower().split())
     if not words:
-        raise LexiconError("empty surface form")
-    return tuple(words)
+        raise ValueError("empty surface form")
+    return words
 
 
 def read_rows(path, name=None):
     """The rows of a data table as (name, line number, line).
 
-    Each line is stripped; blank lines and '#' comments are skipped, and
-    one leading byte order mark is dropped, as from input files. `name`
-    stands for the table in error messages; it defaults to the path.
+    The file is read like an input file (`read_text`), and lines end at
+    "\n" only, as in CoNLL-U input. Blank lines and '#' comments are
+    skipped. A row loses trailing whitespace and leading spaces, but not a
+    leading tab: that ends an empty first field. `name` stands for the
+    table in error messages; it defaults to the path.
     """
-    with open(path, encoding="utf-8") as f:
-        text = f.read().removeprefix("\ufeff")
     name = str(path) if name is None else name
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path, name).split("\n"), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield name, lineno, line
+        if line and not line.startswith("#"):
+            yield name, lineno, raw.rstrip().lstrip(" ")
 
 
 def bundled_rows(filename):
@@ -116,8 +114,8 @@ def _load_quantifier_rows(rows, target):
         if len(parts) != 4:
             raise LexiconError(f"{name} line {lineno}: expected 4 tab-separated fields")
         surface, first, second, category = parts
-        key = _surface_key(surface)
         try:
+            key = _surface_key(surface)
             first, second = Polarity.from_symbol(first), Polarity.from_symbol(second)
             if category not in CATEGORIES:
                 raise ValueError(f"unknown quantifier category {category!r}")
@@ -141,7 +139,7 @@ def _load_implicative_rows(rows, target):
     sources = {}  # lemma -> name of the table that defined it
     for name, lineno, line in rows:
         parts = line.split("\t")
-        if len(parts) != 2:
+        if len(parts) != 2 or not parts[0]:
             raise LexiconError(f"{name} line {lineno}: expected lemma<TAB>direction")
         lemma, direction = parts[0].lower(), parts[1].lower()
         if direction not in ("downward", "upward"):

@@ -21,6 +21,10 @@ class Polarity(enum.Enum):
     DOWN = "↓"
     FLAT = "="
 
+    # a member equals only itself; Enum's own hash runs Python code on
+    # every dict lookup, as in the (gold, predicted) count of evaluation
+    __hash__ = object.__hash__
+
     def flipped(self):
         if self is _UP:
             return _DOWN
@@ -45,22 +49,23 @@ class Polarity(enum.Enum):
     def ascii(self):
         return {"UP": "^", "DOWN": "v", "FLAT": "="}[self.name]
 
-    @classmethod
-    def from_symbol(cls, sym):
-        table = {
-            "↑": cls.UP, "^": cls.UP, "up": cls.UP,
-            "↓": cls.DOWN, "v": cls.DOWN, "down": cls.DOWN,
-            "=": cls.FLAT, "flat": cls.FLAT, "none": cls.FLAT,
-        }
-        key = sym.strip().lower() if len(sym) > 1 else sym
-        if key not in table:
+    @staticmethod
+    def from_symbol(sym):
+        mark = _SYMBOLS.get(sym.strip().lower() if len(sym) > 1 else sym)
+        if mark is None:
             raise ValueError(f"unknown polarity symbol {sym!r}")
-        return table[key]
+        return mark
 
 
 # the hot paths compare with module globals: looking a member up on the
 # enum class takes several times as long
 _UP, _DOWN, _FLAT = Polarity.UP, Polarity.DOWN, Polarity.FLAT
+
+_SYMBOLS = {
+    "↑": _UP, "^": _UP, "up": _UP,
+    "↓": _DOWN, "v": _DOWN, "down": _DOWN,
+    "=": _FLAT, "flat": _FLAT, "none": _FLAT,
+}
 
 
 class MarkError(Exception):

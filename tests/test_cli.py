@@ -462,3 +462,55 @@ def test_hierarchy_errors_name_the_file_and_line(tmp_path):
         assert run_cli(["polarize", "--hierarchy", hier, conllu]) == (
             1, "", f"error: {hier} {message}\n"
         )
+
+
+def test_hierarchy_row_with_an_empty_label_is_refused(tmp_path):
+    # a leading tab is an empty label, not indentation
+    conllu = write(tmp_path, "fig1.conllu", FIG1)
+    for text, line in (("obj\t20\n\tnsubj\t20\n", 2), ("\t20\n", 1)):
+        hier = write(tmp_path, "h.tsv", text)
+        assert run_cli(["polarize", "--hierarchy", hier, conllu]) == (
+            1, "", f"error: {hier} line {line}: expected label<TAB>level\n"
+        )
+
+
+def test_bytes_that_are_not_utf8_name_the_file_and_line(tmp_path):
+    conllu = write(tmp_path, "fig1.conllu", FIG1)
+    gold = write(tmp_path, "gold.tsv", "fig1\tAll\tDET\t^\n")
+    bad = tmp_path / "bad.txt"
+    # line 3 in text mode: "\r\n" and a lone "\r" each end one line
+    bad.write_bytes(b"# one\r\n# two\rx\xffy\n")
+    message = f"error: {bad} line 3: byte 0xff is not UTF-8 (invalid start byte)\n"
+    for argv in (
+        ["polarize", str(bad)],
+        ["polarize", "--lexicon", str(bad), conllu],
+        ["polarize", "--hierarchy", str(bad), conllu],
+        ["eval", "--gold", str(bad), conllu],
+    ):
+        assert run_cli(argv) == (1, "", message)
+    assert run_cli(["eval", "--gold", gold, str(bad)]) == (1, "", message)
+
+
+def _cli_child(args, stdin=b"", **env):
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "udpolarity.cli", *args],
+        input=stdin,
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(src), **env},
+    )
+
+
+def test_stdin_and_stdout_are_utf8_whatever_the_locale(tmp_path):
+    # a form outside Latin-1, through stdin and out as marks outside it too
+    corpus = FIG1.replace("food", "fo→od").encode("utf-8")
+    path = write(tmp_path, "fig1.conllu", corpus.decode("utf-8"))
+    expected = "All↑ dogs↓ eat↑ fo→od↑\n".encode("utf-8")
+    for encoding in ("utf-8", "latin-1", "ascii"):
+        by_file = _cli_child(["polarize", path], PYTHONIOENCODING=encoding)
+        by_stdin = _cli_child(["polarize"], corpus, PYTHONIOENCODING=encoding)
+        assert (by_file.returncode, by_file.stdout, by_file.stderr) == (0, expected, b"")
+        assert (by_stdin.returncode, by_stdin.stdout, by_stdin.stderr) == (0, expected, b"")
+    child = _cli_child(["polarize"], corpus.replace(b"\teat\t", b"\te\xffat\t"))
+    assert child.returncode == 1
+    assert child.stderr == b"error: <stdin> line 5: byte 0xff is not UTF-8 (invalid start byte)\n"

@@ -174,6 +174,15 @@ def brute_force_metrics(pairs, key_only):
     return tok_acc, sent_acc, prf
 
 
+def brute_force_scored(pairs, key_only):
+    """Number of tokens that enter the metrics, straight from the definition."""
+    key = {"NOUN", "PROPN", "VERB", "ADJ", "ADV", "DET", "NUM"}
+    return sum(
+        1 for s in pairs for t in s
+        if t.predicted is not None and (not key_only or t.upos in key)
+    )
+
+
 def test_metrics_match_brute_force_oracle():
     rng = random.Random(99)
     upos_pool = ["NOUN", "VERB", "ADJ", "ADP", "DET", "NUM", "PRON", "PUNCT"]
@@ -188,17 +197,36 @@ def test_metrics_match_brute_force_oracle():
                 gold = rng.choice(marks)
                 triples.append((pred, gold, upos))
             pairs.append(sent(*triples))
-        for key_only in (False, True):
+        report = evaluate(pairs)
+        for key_only, scope in ((False, "all"), (True, "key")):
             tok_acc, sent_acc, prf = brute_force_metrics(pairs, key_only)
-            assert abs(token_accuracy(pairs, key_only) - tok_acc) < 1e-9
-            assert abs(sentence_accuracy(pairs, key_only) - sent_acc) < 1e-9
-            got = prf_per_label(pairs, key_only)
-            for lab in LABELS:
-                for a, b in zip(got[lab], prf[lab]):
-                    if a is None or b is None:
-                        assert a is None and b is None
-                    else:
-                        assert abs(a - b) < 1e-9
+            # the functions and the report's fields of the scope alike
+            for got_tok, got_sent, got_prf in (
+                (
+                    token_accuracy(pairs, key_only),
+                    sentence_accuracy(pairs, key_only),
+                    prf_per_label(pairs, key_only),
+                ),
+                (
+                    getattr(report, f"token_acc_{scope}"),
+                    getattr(report, f"sent_acc_{scope}"),
+                    getattr(report, f"prf_{scope}"),
+                ),
+            ):
+                assert abs(got_tok - tok_acc) < 1e-9
+                assert abs(got_sent - sent_acc) < 1e-9
+                assert set(got_prf) == set(LABELS)
+                for lab in LABELS:
+                    for a, b in zip(got_prf[lab], prf[lab], strict=True):
+                        if a is None or b is None:
+                            assert a is None and b is None
+                        else:
+                            assert abs(a - b) < 1e-9
+        assert report.counts == {
+            "sentences": len(pairs),
+            "tokens_scored_all": brute_force_scored(pairs, False),
+            "tokens_scored_key": brute_force_scored(pairs, True),
+        }
 
 
 def test_correcting_a_token_never_hurts():

@@ -212,6 +212,33 @@ def test_negation_category_error_names_file_and_line(tmp_path):
     )
 
 
+@pytest.mark.parametrize("row", ["\tup\tup\tother", "  \tup\tup\tother", " \tup\tup\tother  "])
+def test_empty_surface_field_names_file_and_line(tmp_path, row):
+    # a leading tab ends an empty first field; stripping it would shift
+    # the fields one place left
+    bad = tmp_path / "quant.tsv"
+    bad.write_text(f"# comment\n{row}\n", encoding="utf-8")
+    with pytest.raises(LexiconError) as info:
+        load_lexicon(quantifier_paths=[bad])
+    assert str(info.value) == f"{bad} line 2: empty surface form"
+
+
+def test_empty_implicative_lemma_names_file_and_line(tmp_path):
+    bad = tmp_path / "impl.tsv"
+    bad.write_text("\tdownward\n", encoding="utf-8")
+    with pytest.raises(LexiconError) as info:
+        load_lexicon(implicative_paths=[bad])
+    assert str(info.value) == f"{bad} line 1: expected lemma<TAB>direction"
+
+
+def test_rows_keep_a_leading_tab_and_end_at_newlines_only(tmp_path):
+    table = tmp_path / "t.tsv"
+    table.write_text(
+        "  a\tb \n\t\n\t# a comment\n  # a comment\n\tc\t\nd\u2028e\tf\n", encoding="utf-8"
+    )
+    assert [row[1:] for row in read_rows(table)] == [(1, "a\tb"), (5, "\tc"), (6, "d\u2028e\tf")]
+
+
 def test_implicative_user_file_extends_defaults(tmp_path):
     extra = tmp_path / "imp.tsv"
     extra.write_text("hesitate\tdownward\nmanage\tupward\n", encoding="utf-8")
