@@ -7,13 +7,15 @@ Subcommands:
 
 Input is CoNLL-U produced by any UD parser (e.g. a neural pipeline such as
 Stanza trained on a UD treebank); this tool does not parse raw text itself.
-Exit codes: 0 success, 1 usage or I/O or parse failure, 2 gold alignment
+Exit codes: 0 success, 1 usage or I/O or parse failure, or output that
+could not be written (a closed pipe exits quietly), 2 gold alignment
 failure.
 """
 
 import argparse
 import functools
 import io
+import os
 import sys
 
 from . import evaluation as ev
@@ -221,7 +223,16 @@ def main(argv=None, out=None, err=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_ERROR if exc.code else EXIT_OK
-    return args.func(args, out, err)
+    try:
+        code = args.func(args, out, err)
+        out.flush()
+    except OSError as exc:  # writing the output failed
+        if not isinstance(exc, BrokenPipeError):  # a closed pipe is no error
+            print(f"error: {exc}", file=err)
+        if out is sys.stdout:  # drop what is left, or the flush at exit fails
+            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())  # Python's SIGPIPE recipe
+        return EXIT_ERROR
+    return code
 
 
 if __name__ == "__main__":

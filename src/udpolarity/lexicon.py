@@ -43,7 +43,7 @@ class Lexicon:
         """Profile of a contiguous token span, or None. Quantifiers beat
         comparatives; within a table a literal form beats NUM_WILDCARD,
         which stands for any NUM token."""
-        keys = [tuple(t.form.lower() for t in tokens)]
+        keys = [tuple([t.form.lower() for t in tokens])]
         for i, tok in enumerate(tokens):
             if tok.upos == "NUM":
                 keys += [key[:i] + (NUM_WILDCARD,) + key[i + 1 :] for key in keys]
@@ -60,6 +60,18 @@ class Lexicon:
         use like longest_negation."""
         keys = list(self.quantifiers) + list(self.comparatives) + list(self.negation_words)
         return max((len(k) for k in keys), default=1)
+
+    @cached_property
+    def first_words(self):
+        """First word -> word count of the longest quantifier or
+        comparative phrase it starts (NUM_WILDCARD stands for any NUM
+        token): a span has no profile unless its first word is here and it
+        is no longer than that. Collected on first use, like
+        max_phrase_len."""
+        longest = {}
+        for key in chain(self.quantifiers, self.comparatives):
+            longest[key[0]] = max(longest.get(key[0], 0), len(key))
+        return longest
 
     @cached_property
     def longest_negation(self):

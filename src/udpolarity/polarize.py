@@ -22,16 +22,25 @@ applies whatever operator its relation calls for, ↓ (negation) or =
 Complement relations finally negate their dependent when the governing
 predicate is a downward-entailing implicative ("refused to go").
 
-A rule is a generator: it yields each child to polarize, in its own order,
-and resumes once that child's whole subtree is done. The polarizer keeps
-the rules in progress on an explicit stack, so tree depth is bounded by
-memory, not by the interpreter's recursion limit.
+A rule is a generator: it yields each internal child to polarize, in its
+own order, and resumes once that child's whole subtree is done. The
+polarizer keeps the rules in progress on an explicit stack, so tree depth
+is bounded by memory, not by the interpreter's recursion limit.
+
+A determiner finds its quantifier phrase through _Phrases, built on the
+sentence's first determiner. It reads the tokens near it by id, and reads
+sorted tables built once per sentence for what lies further, never a raw
+range of ids and never a large dependent's whole subtree. So determiners
+nested in each other cost time linear in the sentence, and ids far apart
+cost no more than ids in a row.
 """
 
+from bisect import bisect_left
+from itertools import chain
 from typing import NamedTuple
 
 from .binarize import BinaryDepTree
-from .lexicon import is_downward_operator, load_lexicon
+from .lexicon import NUM_WILDCARD, is_downward_operator, load_lexicon
 from .polarity import (
     _DOWN,
     _FLAT,
@@ -39,6 +48,7 @@ from .polarity import (
     MarkError,
     equalize_subtree,
     negate_subtree,
+    push,
     topdown_equalization,
     topdown_negation,
 )
@@ -49,9 +59,16 @@ CLAUSE_MOD_RELATIONS = {"acl:relcl", "acl", "advcl", "advcl-sent"}
 DETERMINER_RELATIONS = {"det", "det:predet", "nummod"}
 ADVERBIAL_RELATIONS = {"advmod", "advmod-sent", "case"}
 
-# upos that terminate the leftward scan for a quantifier phrase
+# upos that end the leftward scan for a quantifier phrase, and those that
+# may not stand between a phrase and its head
 _PHRASE_STOP_UPOS = {"NOUN", "PROPN", "VERB", "AUX", "PUNCT"}
+_GAP_STOP_UPOS = _PHRASE_STOP_UPOS | {"ADJ"}
 _PHRASE_SCAN_LIMIT = 6
+# a determiner's dependent with at most this many words is read whole
+_SMALL_SUBTREE = 32
+# a scan reads at most this many ids one by one, and tables past them
+_NEAR = 16
+_NOWHERE = frozenset().__contains__
 
 
 class AnnotatedSentence(NamedTuple):
@@ -61,53 +78,214 @@ class AnnotatedSentence(NamedTuple):
     tree: BinaryDepTree
 
 
-def _inherit(node):
-    node.left.mark = node.right.mark = node.mark
-    return node.mark
+def _leaf_ids(node, limit):
+    """The token ids of a subtree's leaves, or None past `limit` of them."""
+    out = []
+    stack = [node]
+    while stack:
+        item = stack.pop()
+        if item.left is None:
+            out.append(item.val.id)
+            if len(out) > limit:
+                return None
+        else:
+            stack += (item.left, item.right)
+    return out
 
 
-def _leaf_tokens(node):
-    return sorted((leaf.val for leaf in node.leaves()), key=lambda t: t.id)
+class _Phrases:
+    """What a sentence's determiners read their quantifier phrases from,
+    built on the sentence's first determiner.
 
-
-def _scan_quantifier_phrase(det_node, lexicon, tokens_by_id):
-    """Find the quantifier phrase governing a det/nummod node.
-
-    Candidates are the left subtree's tokens plus any contiguous run of
-    non-content tokens immediately before them (UD scatters phrases like
-    "all of the" over several relations). The longest lexicon entry
-    matching a contiguous candidate span wins, provided only function
-    material stands between the span and the governed head.
+    A scan reads tokens by id near its determiner: the tokens before its
+    dependent, the dependent's own words when there are few, and the ids
+    between a phrase and its head when they are few. Reaching further, it
+    reads tables built once per sentence on first need: ids in order,
+    searched by bisection, and lists indexed by rank, a token's place in
+    id order. It never indexes by raw id or loops over a long range of
+    ids, since ids may be sparse. Every subtree's leaves form one run of
+    the tree's leaves, so a token is in a large subtree iff its leaf
+    position lies in the subtree's run.
     """
-    left_tokens = _leaf_tokens(det_node.left)
-    seq = list(left_tokens)
-    i = seq[0].id - 1
-    while i >= 1 and len(seq) - len(left_tokens) < _PHRASE_SCAN_LIMIT:
-        tok = tokens_by_id.get(i)
-        if tok is None or tok.upos in _PHRASE_STOP_UPOS:
-            break
-        seq.insert(0, tok)
-        i -= 1
-    head_min = det_node.right.min_id
-    max_len = lexicon.max_phrase_len
-    for anchor in range(len(seq)):
-        for span_len in range(min(max_len, len(seq) - anchor), 0, -1):
-            span = seq[anchor : anchor + span_len]
-            if span[-1].id - span[0].id != span_len - 1:
-                continue  # demand surface contiguity
-            profile = lexicon.profile(span)
-            if profile is None:
+
+    def __init__(self, tree, lexicon):
+        self.lexicon = lexicon
+        self.leaves = tree.leaves()
+        self.by_id = {leaf.val.id: leaf.val for leaf in self.leaves}
+        self.matches = {}  # id -> [(length, profile)] of the phrases it starts, longest first
+        self.ids = None  # the ids in order, and the tables below, on first need
+        self.stops = None  # ids of the tokens that may not stand between a phrase and its head
+        self.anchors = None  # ids that may start a phrase, less those found to start none
+        self.at = None  # id -> leaf position
+        self.extents = {}  # node -> (first leaf position, last leaf position, largest id)
+        self.unsuppressed = None  # see suppress()
+
+    def scan(self, det_node):
+        """The quantifier phrase governing a det/nummod node, as (profile,
+        first id, last id) of the ids it covers, or None.
+
+        Candidates are the left subtree's tokens plus the run of up to
+        _PHRASE_SCAN_LIMIT non-content tokens with consecutive ids
+        immediately before them (UD scatters phrases like "all of the"
+        over several relations). The leftmost anchor wins, then the
+        longest lexicon entry matching a span of candidates with
+        consecutive ids, provided only function material stands between
+        the span and the governed head. The phrase covers its span and
+        that material.
+        """
+        by_id = self.by_id
+        dep = det_node.left
+        first = dep.min_id
+        # a small subtree is read whole; a large one (any an earlier scan
+        # measured) by its leaf run, and its candidates from the anchors table
+        if dep.left is None:
+            inside = _NOWHERE
+        else:
+            members = None if dep in self.extents else _leaf_ids(dep, _SMALL_SUBTREE)
+            if members is not None:
+                members.sort()
+                inside = set(members).__contains__
+            else:
+                lo, hi, top = self._extent(dep)
+                at = self.at
+                inside = lambda i: lo <= at[i] <= hi  # noqa: E731
+        start = first
+        while first - start < _PHRASE_SCAN_LIMIT:
+            tok = by_id.get(start - 1)
+            if tok is None or tok.upos in _PHRASE_STOP_UPOS:
+                break
+            start -= 1
+        # a span passes iff it ends at or after the last gap stop before
+        # the head, `floor`; any id before `start` stands for none after it
+        head = det_node.right.min_id
+        if head - start <= _NEAR:
+            floor = head - 1
+            while floor >= start and (floor not in by_id or by_id[floor].upos not in _GAP_STOP_UPOS):
+                floor -= 1
+        else:
+            floor = self._floor(head)
+        if start < floor - self.lexicon.max_phrase_len + 1:
+            start = floor - self.lexicon.max_phrase_len + 1
+        # the candidates: every id from `start` to `first`, then the
+        # subtree's ids after it
+        if dep.left is None:
+            anchors = range(start, first + 1)
+        elif members is not None:
+            anchors = chain(range(start, first), members[bisect_left(members, start):])
+        else:
+            anchors = self._anchors(start, top)
+        matches = self.matches
+        for a in anchors:
+            if a > first and not inside(a):
                 continue
-            gap = [
-                tokens_by_id[j]
-                for j in range(span[-1].id + 1, head_min)
-                if j in tokens_by_id
+            found = matches.get(a)
+            if found is None:
+                found = matches[a] = self._matches(a)
+            for length, profile in found:
+                end = a + length - 1
+                if end < floor:
+                    break
+                if end <= first or all(map(inside, range(max(a, first) + 1, end + 1))):
+                    return profile, a, end if end >= head else head - 1
+        return None
+
+    def _matches(self, a):
+        """(length, profile) of every span of consecutive ids starting at
+        id `a` that has a profile, longest first."""
+        by_id, words = self.by_id, self.lexicon.first_words
+        tok = by_id[a]
+        longest = words.get(tok.form.lower(), 0)
+        if tok.upos == "NUM" and NUM_WILDCARD in words:
+            longest = max(longest, words[NUM_WILDCARD])
+        if not longest:
+            return []
+        span = [tok]
+        while len(span) < longest and a + len(span) in by_id:
+            span.append(by_id[a + len(span)])
+        profile = self.lexicon.profile
+        found = [(length, profile(span[:length])) for length in range(len(span), 0, -1)]
+        return [match for match in found if match[1] is not None]
+
+    def _sorted(self):
+        if self.ids is None:
+            self.ids = sorted(self.by_id)
+
+    def _floor(self, head):
+        """The last id before `head` whose token may not stand between a
+        phrase and its head, or 0."""
+        if self.stops is None:
+            self._sorted()
+            self.stops = [i for i in self.ids if self.by_id[i].upos in _GAP_STOP_UPOS]
+        k = bisect_left(self.stops, head)
+        return self.stops[k - 1] if k else 0
+
+    def _anchors(self, start, top):
+        """Every id from `start` to `top` that may start a phrase, in
+        order, from the anchors table."""
+        if self.anchors is None:
+            self._sorted()
+            words, by_id = self.lexicon.first_words, self.by_id
+            num = NUM_WILDCARD in words
+            self.anchors = [
+                i for i in self.ids
+                if by_id[i].form.lower() in words or (num and by_id[i].upos == "NUM")
             ]
-            if any(t.upos in {"NOUN", "PROPN", "VERB", "AUX", "ADJ", "PUNCT"} for t in gap):
-                continue
-            covered = {t.id for t in span} | {t.id for t in gap}
-            return profile, covered
-    return None, set()
+        anchors, matches = self.anchors, self.matches
+        k = bisect_left(anchors, start)
+        while k < len(anchors) and anchors[k] <= top:
+            if matches.get(anchors[k]) == []:
+                del anchors[k]  # an id found to start no phrase is read no more
+            else:
+                yield anchors[k]
+                k += 1
+
+    def _extent(self, node):
+        """(first leaf position, last leaf position, largest token id) of a
+        subtree; no node is walked twice in a sentence."""
+        if self.at is None:
+            self.at = {leaf.val.id: p for p, leaf in enumerate(self.leaves)}
+        extents, at = self.extents, self.at
+        stack = [node]
+        while stack:
+            item = stack[-1]
+            if item in extents:
+                stack.pop()
+            elif item.left is None:
+                p = at[item.val.id]
+                extents[stack.pop()] = p, p, item.val.id
+            elif item.left not in extents:
+                stack.append(item.left)
+            elif item.right not in extents:
+                stack.append(item.right)
+            else:
+                (lo, _, left_top), (_, hi, right_top) = extents[item.left], extents[item.right]
+                extents[stack.pop()] = lo, hi, max(left_top, right_top)
+        return extents[node]
+
+    def suppress(self, first, last, suppressed):
+        """Add the ids from `first` to `last` to `suppressed`. Reaching
+        further than _NEAR, ids are read by rank, each added at most once
+        a sentence: every rank from r up to `unsuppressed[r]` (not
+        included) is added already, or r is not, `unsuppressed[r] == r`."""
+        if last - first <= _NEAR:
+            for i in range(first, last + 1):
+                if i in self.by_id:
+                    suppressed.add(i)
+            return
+        self._sorted()
+        if self.unsuppressed is None:
+            self.unsuppressed = list(range(len(self.ids) + 1))
+        skip, ids = self.unsuppressed, self.ids
+        end = bisect_left(ids, last + 1)
+        r = bisect_left(ids, first)
+        while r < end:
+            after = skip[r]
+            if after == r:
+                suppressed.add(ids[r])
+                after = r + 1
+            # all of first..last is added by the time this call returns
+            skip[r] = after if after > end else end
+            r = after
 
 
 def apply_word_rule(node, lexicon, suppressed=frozenset()):
@@ -155,33 +333,42 @@ class _Run:
 
     def __init__(self, lexicon):
         self.lexicon = lexicon
-        self.tokens_by_id = {}
+        self.tree = None
+        self.phrases = None  # the sentence's _Phrases, once a determiner needs them
         self.suppressed = set()
 
     def polarize(self, tree):
         if tree.left is not None and tree.left.mark is not None:
             raise MarkError("the tree is polarized already")
-        self.tokens_by_id = {leaf.val.id: leaf.val for leaf in tree.leaves()}
+        self.tree = tree
         if tree.mark is None:
             tree.mark = _UP
         if tree.left is not None:
             self.visit(tree)
-        # the walk resolves every pending operator down to the leaves
-        for node in tree.nodes():
+        # the walk resolves every pending operator down to the leaves, as
+        # tree.nodes() would
+        stack = [tree]
+        while stack:
+            node = stack.pop()
             if node.mark is None:
                 raise MarkError("polarization left a node unmarked")
+            if node.left is not None:
+                if node.pending is not None:
+                    push(node)
+                stack += (node.right, node.left)
         return tree
 
     def visit(self, node):
         """Run the rule of an internal node and, depth first, the rules of
-        the nodes it yields, keeping the rules in progress on a stack."""
+        the nodes it yields, keeping the rules in progress on a stack. A
+        rule yields no leaf: a leaf has no rule to run."""
         rule = RULES.get
         stack = [rule(node.val, rule_default)(self, node)]
         while stack:
             child = next(stack[-1], None)
             if child is None:
                 stack.pop()
-            elif child.left is not None:
+            else:
                 stack.append(rule(child.val, rule_default)(self, child))
 
 
@@ -198,9 +385,11 @@ def rule_default(run, node):
     head's final mark (backward negation / equalization). The reaction
     fires only when the head's mark moved away from the inherited one;
     plain inheritance of an antitone context must not self-trigger."""
-    base = _inherit(node)
-    yield node.left
-    yield node.right
+    base = node.left.mark = node.right.mark = node.mark
+    if node.left.left is not None:
+        yield node.left
+    if node.right.left is not None:
+        yield node.right
     if node.right.mark is not base:
         _react(node.right, node.left)
 
@@ -211,11 +400,13 @@ def rule_argument(run, node):
     marks. The backward reaction to the predicate's mark is applied to the
     argument's root mark before recursing into it (applying it afterwards
     would re-flip marks a negation quantifier just set)."""
-    base = _inherit(node)
-    yield node.right
+    base = node.left.mark = node.right.mark = node.mark
+    if node.right.left is not None:
+        yield node.right
     if node.right.mark is not base:
         node.left.mark = node.right.mark * node.left.mark
-    yield node.left
+    if node.left.left is not None:
+        yield node.left
     if node.val in COMPLEMENT_RELATIONS:
         verb = node.right.head_leaf().val
         if is_downward_operator(verb.lemma or verb.form, run.lexicon):
@@ -228,8 +419,10 @@ def rule_clause_mod(run, node):
     flattened according to the modified head's mark."""
     node.right.mark = node.mark
     node.left.mark = _UP
-    yield node.right
-    yield node.left
+    if node.right.left is not None:
+        yield node.right
+    if node.left.left is not None:
+        yield node.left
     _react(node.right, node.left)
 
 
@@ -242,12 +435,20 @@ def rule_determiner(run, node):
     phrase's own words keep the inherited mark. A bare numeral with no
     quantifier reads as "at least n": the numeral flips against its
     context. Anything else defaults to an existential profile.
+
+    The phrase comes from the sentence's _Phrases, which reads a few
+    tokens near the determiner and tables for the rest, never the
+    dependent's whole subtree when it is large. The ids the phrase covers
+    are suppressed for the word rules of advmod/case/mark.
     """
     node.left.mark = node.mark
     outside = _UP  # the operator on the clause outside the phrase
-    profile, covered = _scan_quantifier_phrase(node, run.lexicon, run.tokens_by_id)
-    if profile is not None:
-        run.suppressed |= covered
+    if run.phrases is None:
+        run.phrases = _Phrases(run.tree, run.lexicon)
+    found = run.phrases.scan(node)
+    if found is not None:
+        profile, first, last = found
+        run.phrases.suppress(first, last, run.suppressed)
         node.right.mark = profile.first_arg
         outside = profile.second_arg
     elif node.val == "nummod" and node.left.head_leaf().val.upos == "NUM":
@@ -255,8 +456,10 @@ def rule_determiner(run, node):
         node.right.mark = node.mark
     else:
         node.right.mark = _UP  # unknown determiner: existential reading
-    yield node.left
-    yield node.right
+    if node.left.left is not None:
+        yield node.left
+    if node.right.left is not None:
+        yield node.right
     if node.parent is not None:
         if outside is _DOWN:
             topdown_negation(node)
@@ -268,9 +471,11 @@ def rule_adverbial(run, node):
     """advmod/case: the dependent is polarized after the head material so a
     negation operator ("not", "without", "than") can negate its sibling;
     otherwise the forward reactions to the dependent's mark apply."""
-    base = _inherit(node)
-    yield node.right
-    yield node.left
+    base = node.left.mark = node.right.mark = node.mark
+    if node.right.left is not None:
+        yield node.right
+    if node.left.left is not None:
+        yield node.left
     if apply_word_rule(node.left, run.lexicon, run.suppressed):
         return
     if node.left.mark is not base:
@@ -279,9 +484,11 @@ def rule_adverbial(run, node):
 
 def rule_mark(run, node):
     """Clause markers: "if" negates the antecedent clause it introduces."""
-    _inherit(node)
-    yield node.right
-    yield node.left
+    node.left.mark = node.right.mark = node.mark
+    if node.right.left is not None:
+        yield node.right
+    if node.left.left is not None:
+        yield node.left
     apply_word_rule(node.left, run.lexicon, run.suppressed)
 
 

@@ -12,6 +12,7 @@ import sys
 
 import udpolarity
 from udpolarity import (
+    BinaryDepTree,
     Lexicon,
     Polarity,
     binarize,
@@ -21,6 +22,7 @@ from udpolarity import (
     project_to_tokens,
     render,
 )
+from udpolarity.polarize import _Run
 
 from .conftest import workloads
 
@@ -174,3 +176,72 @@ def test_4000_nested_adverbs(monkeypatch):
     marks = [mark for _tok, mark in project_to_tokens(tree, graph).tokens]
     assert marks == [Polarity.UP, Polarity.DOWN] + [Polarity.UP] * (n - 2)
     assert checked and max(checked) <= longest
+
+
+def nested_determiners(word, n):
+    """CoNLL-U of n `word`s, each the det of the next and the last the det
+    of `dogs`, the subject of `bark`."""
+    rows = [(i, word, word, "DET", i + 1, "det") for i in range(1, n + 1)]
+    rows += [(n + 1, "dogs", "dog", "NOUN", n + 2, "nsubj"),
+             (n + 2, "bark", "bark", "VERB", 0, "root")]
+    return workloads.conllu_block("determiners", rows)
+
+
+def _determiner_reads(word, n, monkeypatch):
+    """What the determiner rule reads polarizing a chain of n nested
+    `word`s: words handed to Lexicon.profile, leaves collected from
+    subtrees and ids added to the suppressed set."""
+    (graph,) = parse_conllu(nested_determiners(word, n))
+    tree = binarize(graph)
+    reads = [0]
+    profile, leaves, init = Lexicon.profile, BinaryDepTree.leaves, _Run.__init__
+
+    def counted_profile(self, tokens):
+        reads[0] += len(tokens)
+        return profile(self, tokens)
+
+    def counted_leaves(self):
+        out = leaves(self)
+        reads[0] += len(out)
+        return out
+
+    class Counted(set):
+        def add(self, item):
+            reads[0] += 1
+            set.add(self, item)
+
+        def __ior__(self, items):
+            reads[0] += len(items)
+            return set.__ior__(self, items)
+
+    def counted_init(self, lexicon):
+        init(self, lexicon)
+        self.suppressed = Counted()
+
+    monkeypatch.setattr(Lexicon, "profile", counted_profile)
+    monkeypatch.setattr(BinaryDepTree, "leaves", counted_leaves)
+    monkeypatch.setattr(_Run, "__init__", counted_init)
+    polarize(tree)
+    monkeypatch.undo()
+    return reads[0]
+
+
+def test_nested_determiners_read_linearly(monkeypatch):
+    # reading every token under each determiner's dependent reads about
+    # n^2/2 tokens, so doubling the chain would quadruple the count
+    for word in ("the", "foo"):
+        small = _determiner_reads(word, 1000, monkeypatch)
+        large = _determiner_reads(word, 2000, monkeypatch)
+        assert 0 < large <= 2.2 * small, (word, small, large)
+
+
+def test_10000_nested_determiners():
+    # a `the` is a phrase of its own: the first one takes the clause's ↑,
+    # and the `=` of its first argument flattens every later one and `dogs`
+    n = 10000
+    for word, marks in (("the", [Polarity.UP] + [Polarity.FLAT] * n),
+                        ("foo", [Polarity.UP] * (n + 1))):
+        (graph,) = parse_conllu(nested_determiners(word, n))
+        tree = binarize(graph)
+        polarize(tree)
+        assert [mark for _tok, mark in project_to_tokens(tree, graph).tokens] == marks + [Polarity.UP]

@@ -4,6 +4,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from udpolarity import (
     MarkError,
     binarize,
@@ -514,3 +516,42 @@ def test_stdin_and_stdout_are_utf8_whatever_the_locale(tmp_path):
     child = _cli_child(["polarize"], corpus.replace(b"\teat\t", b"\te\xffat\t"))
     assert child.returncode == 1
     assert child.stderr == b"error: <stdin> line 5: byte 0xff is not UTF-8 (invalid start byte)\n"
+
+
+def _cli_popen(args, **streams):
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    return subprocess.Popen(
+        [sys.executable, "-m", "udpolarity.cli", *args],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stderr=subprocess.PIPE,
+        **streams,
+    )
+
+
+def test_closed_pipe_exits_quietly(tmp_path):
+    # the reader goes away after one line, as `| head -1` does, while the
+    # output is still far larger than the pipe holds
+    path = write(tmp_path, "big.conllu",
+                 "\n".join(workloads.corpus_pool_block(i) for i in range(500)))
+    child = _cli_popen(["polarize", "--lenient", "--format", "tsv", path],
+                       stdout=subprocess.PIPE)
+    assert child.stdout.readline()
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 1
+    assert err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+@pytest.mark.parametrize("command", [
+    ["polarize", str(DATA / "mini_corpus.conllu")],
+    ["eval", "--gold", str(DATA / "mini_gold.tsv"), str(DATA / "mini_corpus.conllu")],
+], ids=["polarize", "eval"])
+def test_output_that_cannot_be_written_is_an_error(command):
+    with open("/dev/full", "wb") as full:
+        child = _cli_popen(command, stdout=full)
+        err = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=60) == 1
+    assert err == b"error: [Errno 28] No space left on device\n"

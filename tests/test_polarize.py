@@ -1,23 +1,31 @@
 import random
+import sys
+import tracemalloc
 
 import pytest
 
 from udpolarity import (
+    DependencyGraph,
     MarkError,
     Polarity,
+    RelationHierarchy,
+    Token,
     apply_word_rule,
     binarize,
+    load_lexicon,
     parse_conllu,
     polarize,
     project_to_tokens,
     serialize_conllu,
     to_sexpression,
 )
+from udpolarity.polarize import DETERMINER_RELATIONS, _Phrases
 
 from .conftest import (
     ALL_DOGS_EAT_APPLES,
     NO_STUDENT_REFUSED,
     annotate,
+    conllu_block,
     graph_of,
     mark_names,
     random_graph,
@@ -539,3 +547,160 @@ def test_polarize_total_on_random_trees():
         polarize(tree)
         assert all(n.mark is not None for n in tree.nodes())
         assert [n.val for n in tree.nodes()] == vals_before
+
+
+# ---------------------------------------------------------------- phrase scan
+
+def reference_scan(det_node, lexicon, tokens_by_id):
+    """The quantifier-phrase scan as it read every token under the
+    dependent: (profile, covered ids), or (None, set())."""
+    left_tokens = sorted((leaf.val for leaf in det_node.left.leaves()), key=lambda t: t.id)
+    seq = list(left_tokens)
+    i = seq[0].id - 1
+    while i >= 1 and len(seq) - len(left_tokens) < 6:
+        tok = tokens_by_id.get(i)
+        if tok is None or tok.upos in {"NOUN", "PROPN", "VERB", "AUX", "PUNCT"}:
+            break
+        seq.insert(0, tok)
+        i -= 1
+    head_min = det_node.right.min_id
+    max_len = lexicon.max_phrase_len
+    for anchor in range(len(seq)):
+        for span_len in range(min(max_len, len(seq) - anchor), 0, -1):
+            span = seq[anchor : anchor + span_len]
+            if span[-1].id - span[0].id != span_len - 1:
+                continue
+            profile = lexicon.profile(span)
+            if profile is None:
+                continue
+            # the tokens whose ids lie between the span and the head (the
+            # scan looped over the ids themselves, which sparse ids make long)
+            gap = [t for j, t in tokens_by_id.items() if span[-1].id < j < head_min]
+            if any(t.upos in {"NOUN", "PROPN", "VERB", "AUX", "ADJ", "PUNCT"} for t in gap):
+                continue
+            covered = {t.id for t in span} | {t.id for t in gap}
+            return profile, covered
+    return None, set()
+
+
+# the surface is drawn from whole quantifier phrases, pieces of them and
+# other words; upos are mostly those of function words, so that prefixes
+# reach the 6-token limit
+SCAN_PHRASES = ["all of the", "at most 2", "at least 3", "exactly two", "exactly 2", "less than",
+                "more", "2 or more", "no", "every", "the", "a few", "of", "at", "foo", "dogs bark"]
+SCAN_UPOS = ["DET"] * 4 + ["ADP", "ADV", "PART", "PRON", "ADJ",
+                           "NOUN", "VERB", "AUX", "PROPN", "PUNCT"]
+SCAN_RELATIONS = ["det"] * 4 + ["nummod"] * 2 + ["det:predet", "nsubj", "obj", "advmod",
+                                                 "case", "amod", "nmod", "fixed"]
+# phrases of three words, and one that starts with a number
+EXTRA_QUANTIFIERS = "all of the\tdown\tup\tuniversal\nat least n\tup\tup\texistential\n" \
+                    "n or more\tup\tup\texistential\n"
+
+
+def scan_heads(rng, n, projective):
+    """Heads (0 for the root) of a random tree over positions 1..n: random
+    arc-standard transitions (projective) or each token under a random
+    earlier one."""
+    if not projective:
+        return [0] + [rng.randint(1, i - 1) for i in range(2, n + 1)]
+    heads = [0] * n
+    stack, following = [], list(range(1, n + 1))
+    while following or len(stack) > 1:
+        if len(stack) < 2 or (following and rng.random() < 0.5):
+            stack.append(following.pop(0))
+        else:
+            dependent = stack.pop(-2 if rng.random() < 0.5 else -1)
+            heads[dependent - 1] = stack[-1]
+    return heads
+
+
+def scan_graph(rng):
+    """A random tree whose surface is rich in quantifier phrases. A
+    projective tree keeps its positions as surface order; other trees
+    shuffle their ids. Some trees have gaps in their ids."""
+    words = []
+    while len(words) < 2 or rng.random() < 0.75:
+        words += rng.choice(SCAN_PHRASES).split()
+    n = len(words)
+    ids, next_id = [], 0
+    sparse = rng.random() < 0.3
+    for _ in range(n):
+        next_id += rng.choice([1, 1, 1, 2, 50_000_000]) if sparse else 1
+        ids.append(next_id)
+    projective = rng.random() < 0.5
+    at = ids[:] if projective else rng.sample(ids, n)
+    tokens = []
+    for pos, head in enumerate(scan_heads(rng, n, projective)):
+        form = words[ids.index(at[pos])]
+        upos = "NUM" if form in ("2", "3", "two") else rng.choice(SCAN_UPOS)
+        tokens.append(Token(
+            id=at[pos], form=form, lemma=form, upos=upos,
+            head=0 if head == 0 else at[head - 1],
+            deprel="root" if head == 0 else rng.choice(SCAN_RELATIONS),
+        ))
+    graph = DependencyGraph(tokens=sorted(tokens, key=lambda t: t.id))
+    assert len(graph.order) == n  # a tree: every token hangs from the root
+    return graph
+
+
+def test_phrase_scan_matches_reference_on_random_trees(tmp_path, monkeypatch):
+    extra = tmp_path / "extra.tsv"
+    extra.write_text(EXTRA_QUANTIFIERS, encoding="utf-8")
+    lexicons = [load_lexicon(), load_lexicon(quantifier_paths=[extra])]
+    hierarchy = RelationHierarchy.default()
+    polarize_module = sys.modules["udpolarity.polarize"]
+    rng = random.Random(11)
+    scans = found = 0
+    for k in range(20_000):
+        lexicon = lexicons[k % 2]
+        # every other tree reads every dependent and gap through the tables
+        reach = (32, 16) if k % 4 < 2 else (0, 0)
+        monkeypatch.setattr(polarize_module, "_SMALL_SUBTREE", reach[0])
+        monkeypatch.setattr(polarize_module, "_NEAR", reach[1])
+        tree = binarize(scan_graph(rng), hierarchy)
+        tokens_by_id = {leaf.val.id: leaf.val for leaf in tree.leaves()}
+        phrases = _Phrases(tree, lexicon)
+        suppressed, covered = set(), set()
+        for node in tree.nodes():
+            if node.val in DETERMINER_RELATIONS:
+                result = phrases.scan(node)
+                got = (None, set()) if result is None else (
+                    result[0], {i for i in tokens_by_id if result[1] <= i <= result[2]})
+                expected = reference_scan(node, lexicon, tokens_by_id)
+                assert got == expected, to_sexpression(tree)
+                if result is not None:
+                    phrases.suppress(result[1], result[2], suppressed)
+                covered |= expected[1]
+                scans += 1
+                found += result is not None
+        assert suppressed == covered
+    assert scans > 20_000 and 0.2 < found / scans < 0.8, (scans, found)
+
+
+def test_ids_far_apart_are_never_looped_over(lexicon):
+    # the scan once looped over every id between a phrase and its head:
+    # 50 million steps for these two tokens
+    (graph,) = parse_conllu(conllu_block([(1, "the", "the", "DET", 50_000_000, "det"),
+                                          (50_000_000, "dogs", "dog", "NOUN", 0, "root")]))
+    tree = binarize(graph)
+    limit = 10_000
+    lines = [0]
+
+    def trace(frame, event, arg):
+        if event == "line":
+            lines[0] += 1
+            if lines[0] > limit:
+                raise AssertionError(f"polarize ran more than {limit} lines")
+        return trace
+
+    previous = sys.gettrace()
+    tracemalloc.start()
+    sys.settrace(trace)
+    try:
+        polarize(tree, lexicon)
+    finally:
+        sys.settrace(previous)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+    assert inline(project_to_tokens(tree, graph)) == "the↑ dogs="
