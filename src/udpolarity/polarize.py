@@ -28,11 +28,13 @@ polarizer keeps the rules in progress on an explicit stack, so tree depth
 is bounded by memory, not by the interpreter's recursion limit.
 
 A determiner finds its quantifier phrase through _Phrases, built on the
-sentence's first determiner. It reads the tokens near it by id, and reads
-sorted tables built once per sentence for what lies further, never a raw
-range of ids and never a large dependent's whole subtree. So determiners
-nested in each other cost time linear in the sentence, and ids far apart
-cost no more than ids in a row.
+sentence's first determiner. It reads the tokens near it one by one, up to
+a budget of two reads per token of the sentence, and sorted tables built
+once per sentence past that. So ids far apart cost no more than ids in a
+row, and determiners nested in each other cost time linear in the
+sentence. The one exception is a nest whose dependents are not
+projective: a dependent whose ids span k words that may start a phrase
+but are not its own costs up to k steps to pass them.
 """
 
 from bisect import bisect_left
@@ -64,10 +66,9 @@ ADVERBIAL_RELATIONS = {"advmod", "advmod-sent", "case"}
 _PHRASE_STOP_UPOS = {"NOUN", "PROPN", "VERB", "AUX", "PUNCT"}
 _GAP_STOP_UPOS = _PHRASE_STOP_UPOS | {"ADJ"}
 _PHRASE_SCAN_LIMIT = 6
-# a determiner's dependent with at most this many words is read whole
-_SMALL_SUBTREE = 32
-# a scan reads at most this many ids one by one, and tables past them
-_NEAR = 16
+# ids and words a sentence's determiners read one by one, per token of the
+# sentence, before they read tables (see _Phrases)
+_LOCAL_READS = 2
 _NOWHERE = frozenset().__contains__
 
 
@@ -97,28 +98,40 @@ class _Phrases:
     """What a sentence's determiners read their quantifier phrases from,
     built on the sentence's first determiner.
 
-    A scan reads tokens by id near its determiner: the tokens before its
-    dependent, the dependent's own words when there are few, and the ids
-    between a phrase and its head when they are few. Reaching further, it
-    reads tables built once per sentence on first need: ids in order,
-    searched by bisection, and lists indexed by rank, a token's place in
-    id order. It never indexes by raw id or loops over a long range of
-    ids, since ids may be sparse. Every subtree's leaves form one run of
-    the tree's leaves, so a token is in a large subtree iff its leaf
-    position lies in the subtree's run.
+    A scan reads tokens one by one near its determiner: the dependent's
+    words, the ids between a phrase and its head, the ids a phrase covers.
+    That is cheaper than building tables for a short sentence, but a
+    sentence reads at most _LOCAL_READS ids or words one by one per token
+    it has. Past that budget, scans read tables built once per sentence
+    on first need: ids in order, searched by bisection, and lists indexed
+    by rank, a token's place in id order. Every subtree's leaves form one
+    run of the tree's leaves, so a token is in a subtree iff its leaf
+    position lies in the subtree's run. Nothing indexes by raw id, since
+    ids may be sparse.
     """
 
     def __init__(self, tree, lexicon):
         self.lexicon = lexicon
         self.leaves = tree.leaves()
         self.by_id = {leaf.val.id: leaf.val for leaf in self.leaves}
+        self.budget = _LOCAL_READS * len(self.leaves)  # see _local()
         self.matches = {}  # id -> [(length, profile)] of the phrases it starts, longest first
         self.ids = None  # the ids in order, and the tables below, on first need
         self.stops = None  # ids of the tokens that may not stand between a phrase and its head
-        self.anchors = None  # ids that may start a phrase, less those found to start none
+        self.anchors = None  # ids that may start a phrase, see _anchors()
+        self.live = None  # see _anchors()
         self.at = None  # id -> leaf position
         self.extents = {}  # node -> (first leaf position, last leaf position, largest id)
         self.unsuppressed = None  # see suppress()
+
+    def _local(self, cost):
+        """Whether `cost` more ids or words may be read one by one; if they
+        may, they are taken from the sentence's budget."""
+        if cost > self.budget:
+            return False
+        if cost > 0:
+            self.budget -= cost
+        return True
 
     def scan(self, det_node):
         """The quantifier phrase governing a det/nummod node, as (profile,
@@ -136,12 +149,13 @@ class _Phrases:
         by_id = self.by_id
         dep = det_node.left
         first = dep.min_id
-        # a small subtree is read whole; a large one (any an earlier scan
-        # measured) by its leaf run, and its candidates from the anchors table
+        # the dependent is read whole while the budget lasts, else by its
+        # leaf run, and its candidates from the anchors table
         if dep.left is None:
             inside = _NOWHERE
         else:
-            members = None if dep in self.extents else _leaf_ids(dep, _SMALL_SUBTREE)
+            members = _leaf_ids(dep, self.budget)
+            self.budget = 0 if members is None else self.budget - len(members)
             if members is not None:
                 members.sort()
                 inside = set(members).__contains__
@@ -158,7 +172,7 @@ class _Phrases:
         # a span passes iff it ends at or after the last gap stop before
         # the head, `floor`; any id before `start` stands for none after it
         head = det_node.right.min_id
-        if head - start <= _NEAR:
+        if self._local(head - start):
             floor = head - 1
             while floor >= start and (floor not in by_id or by_id[floor].upos not in _GAP_STOP_UPOS):
                 floor -= 1
@@ -230,14 +244,28 @@ class _Phrases:
                 i for i in self.ids
                 if by_id[i].form.lower() in words or (num and by_id[i].upos == "NUM")
             ]
-        anchors, matches = self.anchors, self.matches
+            self.live = list(range(len(self.anchors) + 1))
+        # live[k] is k, or a later index when every anchor from index k up
+        # to it (not included) is found to start no phrase
+        anchors, live, matches = self.anchors, self.live, self.matches
         k = bisect_left(anchors, start)
         while k < len(anchors) and anchors[k] <= top:
-            if matches.get(anchors[k]) == []:
-                del anchors[k]  # an id found to start no phrase is read no more
-            else:
-                yield anchors[k]
-                k += 1
+            if live[k] == k:
+                found = matches.get(anchors[k])
+                if found is None:
+                    found = matches[anchors[k]] = self._matches(anchors[k])
+                if found:
+                    yield anchors[k]
+                    k += 1
+                    continue
+                live[k] = k + 1
+            # jump to the end of a run of anchors that start no phrase, and
+            # point each anchor on the way there to it
+            after = live[k]
+            while live[after] != after:
+                after = live[after]
+            while k != after:
+                live[k], k = after, live[k]
 
     def _extent(self, node):
         """(first leaf position, last leaf position, largest token id) of a
@@ -263,11 +291,11 @@ class _Phrases:
         return extents[node]
 
     def suppress(self, first, last, suppressed):
-        """Add the ids from `first` to `last` to `suppressed`. Reaching
-        further than _NEAR, ids are read by rank, each added at most once
-        a sentence: every rank from r up to `unsuppressed[r]` (not
-        included) is added already, or r is not, `unsuppressed[r] == r`."""
-        if last - first <= _NEAR:
+        """Add the ids from `first` to `last` to `suppressed`. Past the
+        budget, ids are read by rank, each added at most once a sentence:
+        every rank from r up to `unsuppressed[r]` (not included) is added
+        already, or r is not, `unsuppressed[r] == r`."""
+        if self._local(last - first + 1):
             for i in range(first, last + 1):
                 if i in self.by_id:
                     suppressed.add(i)
@@ -436,10 +464,10 @@ def rule_determiner(run, node):
     quantifier reads as "at least n": the numeral flips against its
     context. Anything else defaults to an existential profile.
 
-    The phrase comes from the sentence's _Phrases, which reads a few
-    tokens near the determiner and tables for the rest, never the
-    dependent's whole subtree when it is large. The ids the phrase covers
-    are suppressed for the word rules of advmod/case/mark.
+    The phrase comes from the sentence's _Phrases, which reads the tokens
+    near the determiner one by one while the sentence's budget lasts, and
+    tables past it. The ids the phrase covers are suppressed for the word
+    rules of advmod/case/mark.
     """
     node.left.mark = node.mark
     outside = _UP  # the operator on the clause outside the phrase

@@ -12,7 +12,6 @@ import sys
 
 import udpolarity
 from udpolarity import (
-    BinaryDepTree,
     Lexicon,
     Polarity,
     binarize,
@@ -22,7 +21,6 @@ from udpolarity import (
     project_to_tokens,
     render,
 )
-from udpolarity.polarize import _Run
 
 from .conftest import workloads
 
@@ -187,52 +185,50 @@ def nested_determiners(word, n):
     return workloads.conllu_block("determiners", rows)
 
 
-def _determiner_reads(word, n, monkeypatch):
-    """What the determiner rule reads polarizing a chain of n nested
-    `word`s: words handed to Lexicon.profile, leaves collected from
-    subtrees and ids added to the suppressed set."""
-    (graph,) = parse_conllu(nested_determiners(word, n))
+def nested_determiners_apart(word, n):
+    """CoNLL-U like nested_determiners(word, n), with a `very`, an advmod
+    of `bark`, after each `word`: every dependent's ids span words that
+    are not its own."""
+    rows = []
+    for i in range(1, n + 1):
+        rows += [(2 * i - 1, word, word, "DET", 2 * i + 1, "det"),
+                 (2 * i, "very", "very", "ADV", 2 * n + 2, "advmod")]
+    rows += [(2 * n + 1, "dogs", "dog", "NOUN", 2 * n + 2, "nsubj"),
+             (2 * n + 2, "bark", "bark", "VERB", 0, "root")]
+    return workloads.conllu_block("determiners", rows)
+
+
+def _lines_polarizing(block):
+    """Line events traced while polarizing one sentence: everything the
+    rules, the phrase scan and the lexicon read in Python."""
+    (graph,) = parse_conllu(block)
     tree = binarize(graph)
-    reads = [0]
-    profile, leaves, init = Lexicon.profile, BinaryDepTree.leaves, _Run.__init__
+    lexicon = load_lexicon()
+    lines = [0]
 
-    def counted_profile(self, tokens):
-        reads[0] += len(tokens)
-        return profile(self, tokens)
+    def trace(frame, event, arg):
+        if event == "line":
+            lines[0] += 1
+        return trace
 
-    def counted_leaves(self):
-        out = leaves(self)
-        reads[0] += len(out)
-        return out
-
-    class Counted(set):
-        def add(self, item):
-            reads[0] += 1
-            set.add(self, item)
-
-        def __ior__(self, items):
-            reads[0] += len(items)
-            return set.__ior__(self, items)
-
-    def counted_init(self, lexicon):
-        init(self, lexicon)
-        self.suppressed = Counted()
-
-    monkeypatch.setattr(Lexicon, "profile", counted_profile)
-    monkeypatch.setattr(BinaryDepTree, "leaves", counted_leaves)
-    monkeypatch.setattr(_Run, "__init__", counted_init)
-    polarize(tree)
-    monkeypatch.undo()
-    return reads[0]
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        polarize(tree, lexicon)
+    finally:
+        sys.settrace(previous)
+    return lines[0]
 
 
-def test_nested_determiners_read_linearly(monkeypatch):
-    # reading every token under each determiner's dependent reads about
-    # n^2/2 tokens, so doubling the chain would quadruple the count
-    for word in ("the", "foo"):
-        small = _determiner_reads(word, 1000, monkeypatch)
-        large = _determiner_reads(word, 2000, monkeypatch)
-        assert 0 < large <= 2.2 * small, (word, small, large)
+def test_nested_determiners_read_linearly():
+    # reading every token under each determiner's dependent takes about
+    # n^2/2 steps, so doubling the chain would quadruple the count; `at`
+    # may start a phrase ("at least") but starts none here
+    for word in ("the", "foo", "at"):
+        for block in (nested_determiners, nested_determiners_apart):
+            small = _lines_polarizing(block(word, 1000))
+            large = _lines_polarizing(block(word, 2000))
+            assert 0 < large <= 2.2 * small, (word, block.__name__, small, large)
 
 
 def test_10000_nested_determiners():

@@ -653,10 +653,9 @@ def test_phrase_scan_matches_reference_on_random_trees(tmp_path, monkeypatch):
     scans = found = 0
     for k in range(20_000):
         lexicon = lexicons[k % 2]
-        # every other tree reads every dependent and gap through the tables
-        reach = (32, 16) if k % 4 < 2 else (0, 0)
-        monkeypatch.setattr(polarize_module, "_SMALL_SUBTREE", reach[0])
-        monkeypatch.setattr(polarize_module, "_NEAR", reach[1])
+        # one tree in two reads only tables, the others tokens one by one
+        # until the budget runs out
+        monkeypatch.setattr(polarize_module, "_LOCAL_READS", (2, 1, 0, 0)[k % 4])
         tree = binarize(scan_graph(rng), hierarchy)
         tokens_by_id = {leaf.val.id: leaf.val for leaf in tree.leaves()}
         phrases = _Phrases(tree, lexicon)
