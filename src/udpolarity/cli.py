@@ -7,6 +7,9 @@ Subcommands:
 
 Input is CoNLL-U produced by any UD parser (e.g. a neural pipeline such as
 Stanza trained on a UD treebank); this tool does not parse raw text itself.
+`--jobs N` cuts the sentences into up to N contiguous runs and forks a
+pinned worker for each run after the first (see `_forked`), so a threaded
+host program should not call `main` with it.
 Exit codes: 0 success, 1 usage or I/O or parse failure, or output that
 could not be written (a closed pipe exits quietly), 2 gold alignment
 failure.
@@ -31,9 +34,7 @@ EXIT_ERROR = 1
 EXIT_ALIGNMENT = 2
 
 
-# --jobs N hands each worker about this many chunks of sentences, so that
-# a long sentence holds up only the chunk it is in
-CHUNKS_PER_JOB = 4
+FAILURES = (ConlluError, MarkError)  # what `_annotate` returns for a failed sentence
 
 
 def _annotate(hierarchy, lexicon, fmt, block):
@@ -63,9 +64,119 @@ def _annotate(hierarchy, lexicon, fmt, block):
     return annotated.tokens if fmt is None else render(annotated, fmt)
 
 
+def _split(blocks, jobs):
+    """Cut `blocks` into at most `jobs` contiguous runs of about equal line
+    counts: a run ends where the next block's middle line lies past its
+    share. Polarizing is linear in tokens, so lines measure the work."""
+    total = sum(len(block[3]) for block in blocks)
+    runs = [[]]
+    lines = 0
+    for block in blocks:
+        size = len(block[3])
+        if runs[-1] and (2 * lines + size) * jobs > 2 * total * len(runs):
+            runs.append([])
+        runs[-1].append(block)
+        lines += size
+    return runs
+
+
+def _cpus():
+    """The CPUs this process may run on, sorted, or None when there is
+    only one or the platform cannot pin a process to one."""
+    try:
+        cpus = sorted(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return None
+    return cpus if len(cpus) > 1 else None
+
+
+def _pin(cpus, k=None):
+    """Pin this process to the k-th of `cpus` (modulo their number), or
+    let it run on all of them again."""
+    if cpus:
+        try:
+            os.sched_setaffinity(0, cpus if k is None else {cpus[k % len(cpus)]})
+        except OSError:
+            pass
+
+
+def _named(block):
+    where, line, ordinal, _lines = block
+    return f"{where}sentence {ordinal} (line {line})"
+
+
+def _forked(annotate, runs, lenient):
+    """`annotate` over every block of `runs`, yielded in input order.
+
+    This process annotates the first run itself; each other run goes to a
+    child made with os.fork(), which returns its results pickled through a
+    pipe and, unless `lenient`, stops at its run's first failure. Worker k
+    (this process is worker 0) is pinned to the k-th CPU this process may
+    use. Each pipe is read in turn and its child reaped once the pipe is
+    drained. Closing the generator early, as a strict run does at its first
+    failure, kills and reaps every child left. A child that exits nonzero
+    or is killed is a ChildProcessError that names its run.
+    """
+    cpus = _cpus()
+    children = []  # (pid, read end of its pipe, its run), in input order
+    try:
+        for k, run in enumerate(runs[1:], 1):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child: never returns to the caller
+                code = 1
+                try:
+                    import pickle  # after the fork: off this process's path
+
+                    os.close(read)
+                    for _pid, other, _run in children:  # each pipe has one reader
+                        os.close(other)
+                    _pin(cpus, k)
+                    results = []
+                    for result in map(annotate, run):
+                        results.append(result)
+                        if not lenient and isinstance(result, FAILURES):
+                            break
+                    with open(write, "wb") as pipe:
+                        pipe.write(pickle.dumps(results, pickle.HIGHEST_PROTOCOL))
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+            children.append((pid, read, run))
+        _pin(cpus, 0)
+        try:
+            yield from map(annotate, runs[0])
+        finally:
+            _pin(cpus)
+        import pickle  # while the workers finish their runs
+
+        while children:
+            pid, read, run = children.pop(0)
+            try:
+                with open(read, "rb") as pipe:
+                    data = pipe.read()
+            finally:
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code:
+                fault = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                raise ChildProcessError(
+                    f"the worker on {_named(run[0])} to {_named(run[-1])} {fault}"
+                )
+            yield from pickle.loads(data)
+    finally:
+        if children:  # a failure before every pipe was read
+            import signal
+        for pid, read, _run in children:
+            os.kill(pid, signal.SIGKILL)
+            os.close(read)
+            os.waitpid(pid, 0)
+
+
 def _annotate_inputs(args, fmt, err):
     """Every sentence of the input files (stdin when there is none) through
-    `_annotate`, in order, on `args.jobs` processes.
+    `_annotate`, in order, on up to `args.jobs` processes (see `_forked`;
+    where os.fork is missing, in this process alone).
 
     Each file is split into sentences on its own, so lines and sentence
     positions in errors count within the file, which errors name when
@@ -88,19 +199,12 @@ def _annotate_inputs(args, fmt, err):
     )
     lexicon = load_lexicon(quantifier_paths=args.lexicon)
     annotate = functools.partial(_annotate, hierarchy, lexicon, fmt)
-    pool = None
-    if args.jobs > 1 and len(blocks) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
-
-        pool = ProcessPoolExecutor(args.jobs)
-        chunksize = -(-len(blocks) // (args.jobs * CHUNKS_PER_JOB))
-        results = pool.map(annotate, blocks, chunksize=chunksize)
-    else:
-        results = map(annotate, blocks)
+    runs = _split(blocks, args.jobs) if args.jobs > 1 and hasattr(os, "fork") else [blocks]
+    results = _forked(annotate, runs, args.lenient) if len(runs) > 1 else map(annotate, blocks)
     sentences = []
     try:
         for result in results:
-            if isinstance(result, (ConlluError, MarkError)):
+            if isinstance(result, FAILURES):
                 if not args.lenient:
                     raise result
                 print(f"skipping sentence: {result}", file=err)
@@ -109,8 +213,8 @@ def _annotate_inputs(args, fmt, err):
                     result = result.replace("sentence_0", f"sentence_{len(sentences)}", 1)
                 sentences.append(result)
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        if len(runs) > 1:
+            results.close()
     return sentences
 
 

@@ -316,12 +316,18 @@ class _Phrases:
             r = after
 
 
-def apply_word_rule(node, lexicon, suppressed=frozenset()):
+def apply_word_rule(node, lexicon, suppressed=frozenset(), known=None):
     """Word-level rule hook for the dependent side of a relation node.
 
     Negation operators under an adverbial-modifier or case relation negate
     the sibling constituent; a conditional marker under `mark` negates the
     clause it introduces (the antecedent). Returns True when a rule fired.
+
+    `known`, when given, maps dependents of more leaves than the longest
+    negation phrase to (leaves counted, a leaf not in `suppressed`, or None
+    when every leaf is). The walk adds `node` when it is one, and passes
+    such a node without reading it again while that leaf stays out of
+    `suppressed`; `suppressed` only grows, so an entry with None stays true.
     """
     parent = node.parent
     if parent is None or node is not parent.left:
@@ -331,19 +337,30 @@ def apply_word_rule(node, lexicon, suppressed=frozenset()):
     # dependent nested on the left.
     longest = lexicon.longest_negation
     tokens = []
-    all_suppressed = bool(suppressed)
+    count = 0  # leaves read or passed
+    loud = None  # a leaf not in suppressed
     stack = [node]
-    while stack and (all_suppressed or len(tokens) <= longest):
+    while stack and (loud is None or count <= longest):
         item = stack.pop()
-        if item.left is not None:
-            stack += (item.left, item.right)
-        else:
+        if item.left is None:
             tokens.append(item.val)
-            all_suppressed = all_suppressed and item.val.id in suppressed
-    if all_suppressed:
+            count += 1
+            if loud is None and item.val.id not in suppressed:
+                loud = item
+            continue
+        entry = known.get(item) if known else None
+        if entry is not None and (entry[1] is None or entry[1].val.id not in suppressed):
+            count += entry[0]
+            if loud is None:
+                loud = entry[1]
+        else:
+            stack += (item.left, item.right)
+    if known is not None and count > longest:
+        known[node] = (count, loud)
+    if loud is None:
         return False
     label = parent.val
-    if label in ADVERBIAL_RELATIONS and len(tokens) <= longest:
+    if label in ADVERBIAL_RELATIONS and count <= longest:
         tokens.sort(key=lambda t: t.id)
         if lexicon.is_negation_phrase([t.form for t in tokens]):
             negate_subtree(parent.right)
@@ -364,6 +381,7 @@ class _Run:
         self.tree = None
         self.phrases = None  # the sentence's _Phrases, once a determiner needs them
         self.suppressed = set()
+        self.known = {}  # see apply_word_rule
 
     def polarize(self, tree):
         if tree.left is not None and tree.left.mark is not None:
@@ -504,7 +522,7 @@ def rule_adverbial(run, node):
         yield node.right
     if node.left.left is not None:
         yield node.left
-    if apply_word_rule(node.left, run.lexicon, run.suppressed):
+    if apply_word_rule(node.left, run.lexicon, run.suppressed, run.known):
         return
     if node.left.mark is not base:
         _react(node.left, node.right)
@@ -517,7 +535,7 @@ def rule_mark(run, node):
         yield node.right
     if node.left.left is not None:
         yield node.left
-    apply_word_rule(node.left, run.lexicon, run.suppressed)
+    apply_word_rule(node.left, run.lexicon, run.suppressed, run.known)
 
 
 # relation label -> rule; every other label takes rule_default

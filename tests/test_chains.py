@@ -231,6 +231,28 @@ def test_nested_determiners_read_linearly():
             assert 0 < large <= 2.2 * small, (word, block.__name__, small, large)
 
 
+def nested_adverbs(first, n):
+    """CoNLL-U of `first` and n - 1 `the`s, each the advmod of the next and
+    the last the det of `dogs`, the subject of `bark`: one phrase covers
+    every `the`, and `very` starts none."""
+    rows = [(i, "the", "the", "DET", i + 1, "advmod") for i in range(1, n)]
+    rows += [(n, "the", "the", "DET", n + 1, "det"),
+             (n + 1, "dogs", "dog", "NOUN", n + 2, "nsubj"),
+             (n + 2, "bark", "bark", "VERB", 0, "root")]
+    rows[0] = (1, first, first, "ADV" if first == "very" else "DET", 2, "advmod")
+    return workloads.conllu_block("adverbs", rows)
+
+
+def test_nested_adverbs_under_a_phrase_read_linearly():
+    # each advmod's word rule once read its dependent again down to a word
+    # the phrase does not cover, or whole when it covers all: about n^2/2
+    # steps
+    for first in ("the", "very"):
+        small = _lines_polarizing(nested_adverbs(first, 1000))
+        large = _lines_polarizing(nested_adverbs(first, 2000))
+        assert 0 < large <= 2.2 * small, (first, small, large)
+
+
 def test_10000_nested_determiners():
     # a `the` is a phrase of its own: the first one takes the clause's ↑,
     # and the `=` of its first argument flattens every later one and `dogs`

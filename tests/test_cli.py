@@ -1,8 +1,11 @@
 import io
 import os
 import pathlib
+import random
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -339,7 +342,8 @@ def test_mark_errors_name_the_file_and_sentence(tmp_path, monkeypatch):
 
 
 def test_jobs_1_run_imports_no_dataclasses_or_process_pool():
-    # both cost start-up time on every run; only a --jobs N pool may load one
+    # each costs start-up time on every run; only a --jobs N run that forks
+    # workers imports pickle
     script = (
         "import runpy, sys\n"
         "sys.argv = ['udpolarity', 'polarize', '--format', 'sexpr']\n"
@@ -359,7 +363,7 @@ def test_jobs_1_run_imports_no_dataclasses_or_process_pool():
     )
     loaded = set(child.stdout.split())
     assert "udpolarity.polarize" in loaded
-    assert not loaded & {"dataclasses", "concurrent.futures"}
+    assert not loaded & {"dataclasses", "concurrent.futures", "pickle"}
 
 
 def test_jobs_2_matches_jobs_1_across_files_skips_and_deep_trees(tmp_path):
@@ -400,6 +404,120 @@ def test_jobs_2_matches_jobs_1_across_files_skips_and_deep_trees(tmp_path):
     assert code == 0, err
     assert "sentences=5" in out
     assert len(err.splitlines()) == 7
+
+
+def _in_children(monkeypatch, act):
+    """Make every forked worker `act()` before it annotates its first
+    sentence, and record the pids os.fork gives this process."""
+    parent = os.getpid()
+    annotate = cli._annotate
+    fork = os.fork
+    forked = []
+    acted = []  # each process has its own copy
+
+    def annotate_or_act(*args):
+        if os.getpid() != parent and not acted:
+            acted.append(act)
+            act()
+        return annotate(*args)
+
+    def recorded_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(cli, "_annotate", annotate_or_act)
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    return forked
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that runs past 30 s, where it would hang."""
+    def expire(signum, frame):
+        raise TimeoutError("the test ran past its 30 s deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def assert_reaped(pids):
+    assert pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):  # no such child: reaped
+            os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="--jobs N forks")
+def test_strict_jobs_run_stops_at_its_first_failure(tmp_path, monkeypatch, deadline):
+    blocks = [workloads.corpus_pool_block(i) for i in range(40)]
+    path = write(tmp_path, "bad.conllu", "\n".join(["1\tonly\tthree\n", *blocks]))
+    expected = run_cli(["polarize", "--jobs", "1", path])
+    assert expected == (1, "", "error: line 1: expected 10 columns, got 3\n")
+    forked = _in_children(monkeypatch, lambda: time.sleep(60))
+    start = time.monotonic()
+    assert run_cli(["polarize", "--jobs", "2", path]) == expected
+    assert time.monotonic() - start < 10
+    assert_reaped(forked)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="--jobs N forks")
+def test_a_dead_worker_is_an_error_naming_its_run(tmp_path, monkeypatch, deadline):
+    # ten sentences of 6 lines, 7 apart: the second run is sentences 6-10
+    path = write(tmp_path, "ten.conllu", "\n".join(
+        FIG1.replace("fig1", f"s{i}") for i in range(1, 11)
+    ))
+    run = "sentence 6 (line 36) to sentence 10 (line 64)"
+    for act, fault in ((lambda: os._exit(3), "exited with status 3"),
+                       (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9")):
+        forked = _in_children(monkeypatch, act)
+        for argv in (["polarize"], ["eval", "--gold", str(DATA / "mini_gold.tsv")]):
+            code, out, err = run_cli([*argv, "--jobs", "2", path])
+            assert (code, out, err) == (1, "", f"error: the worker on {run} {fault}\n")
+        assert_reaped(forked)
+
+
+def _property_input(rng, chain):
+    """1-30 blocks of corpus sentences, some invalid, and at times one
+    sentence far longer than the others."""
+    invalid = ["1\tonly\tthree\n",
+               "1\tdogs\tdog\tNOUN\t_\t_\tx\tnsubj\t_\t_\n",
+               "1\tdogs\tdog\tNOUN\t_\t_\t2\tnsubj\t_\t_\n"
+               "2\tbark\tbark\tVERB\t_\t_\t1\troot\t_\t_\n"]
+    blocks = [workloads.corpus_pool_block(rng.randrange(workloads.CORPUS_POOL))
+              for _ in range(rng.randint(1, 30))]
+    for _ in range(rng.randint(0, 3)):
+        blocks.insert(rng.randint(0, len(blocks)), rng.choice(invalid))
+    if rng.random() < 0.3:
+        blocks.insert(rng.randint(0, len(blocks)), chain)
+    return "\n".join(blocks)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="--jobs N forks")
+def test_jobs_property_output_equals_jobs_1(tmp_path):
+    chain = workloads.conllu_block("chain", workloads.deep_rows("neg", 800, 0))
+    rng = random.Random(12)
+    inputs = ["\n".join([FIG1, chain])]  # each run holds one sentence
+    inputs += [_property_input(rng, chain) for _ in range(10)]
+    for k, text in enumerate(inputs):
+        path = write(tmp_path, f"in{k}.conllu", text)
+        code, tsv, _err = run_cli(["polarize", "--lenient", "--format", "tsv", path])
+        assert code == 0
+        gold = "\n".join(
+            "\t".join(["s", *row.split("\t")[1:3], "^"]) if row else "" for row in tsv.splitlines()
+        )
+        gold_path = write(tmp_path, f"gold{k}.tsv", gold + "\n")
+        commands = [["polarize", *mode, "--format", fmt, path]
+                    for mode in ([], ["--lenient"]) for fmt in ("dot", "tsv")]
+        commands.append(["eval", "--lenient", "--gold", gold_path, path])
+        for argv in commands:
+            expected = run_cli([*argv, "--jobs", "1"])
+            for jobs in ("2", "3", "5"):
+                assert run_cli([*argv, "--jobs", jobs]) == expected, (k, argv, jobs)
 
 
 def test_byte_order_mark_is_dropped(tmp_path, monkeypatch):

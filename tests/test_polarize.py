@@ -703,3 +703,105 @@ def test_ids_far_apart_are_never_looped_over(lexicon):
         tracemalloc.stop()
     assert peak < 1_000_000, peak
     assert inline(project_to_tokens(tree, graph)) == "the↑ dogs="
+
+
+def reference_word_rule(node, lexicon, suppressed=frozenset(), negate=None):
+    """apply_word_rule as it was before it passed subtrees known to be
+    suppressed: it reads the whole dependent while every leaf it has read
+    is suppressed. `negate` stands in for negate_subtree."""
+    parent = node.parent
+    if parent is None or node is not parent.left:
+        return False
+    longest = lexicon.longest_negation
+    tokens = []
+    all_suppressed = bool(suppressed)
+    stack = [node]
+    while stack and (all_suppressed or len(tokens) <= longest):
+        item = stack.pop()
+        if item.left is not None:
+            stack += (item.left, item.right)
+        else:
+            tokens.append(item.val)
+            all_suppressed = all_suppressed and item.val.id in suppressed
+    if all_suppressed:
+        return False
+    label = parent.val
+    if label in {"advmod", "advmod-sent", "case"} and len(tokens) <= longest:
+        tokens.sort(key=lambda t: t.id)
+        if lexicon.is_negation_phrase([t.form for t in tokens]):
+            negate(parent.right)
+            return True
+    if label == "mark":
+        head = node.head_leaf().val
+        if lexicon.is_conditional(head.form) or lexicon.is_conditional(head.lemma):
+            negate(parent.right)
+            return True
+    return False
+
+
+WORD_RULE_WORDS = ["the", "no", "every", "at", "most", "least", "2", "not", "never",
+                   "without", "than", "less", "if", "very", "foo", "dogs"]
+WORD_RULE_UPOS = ["DET", "DET", "ADV", "ADP", "SCONJ", "NOUN"]
+WORD_RULE_RELATIONS = ["det"] * 3 + ["advmod"] * 4 + ["nummod", "case", "mark", "nsubj", "obj"]
+
+
+def word_rule_graph(rng):
+    """A random tree of mostly chains, each token under the next one or a
+    later one, of determiners and adverbs: nests whose words determiner
+    phrases cover. Half of the trees shuffle their ids."""
+    n = rng.randint(2, 60)
+    at = list(range(1, n + 1))
+    if rng.random() < 0.5:
+        rng.shuffle(at)
+    tokens = []
+    for i in range(1, n + 1):
+        head = 0 if i == n else (i + 1 if rng.random() < 0.7 else rng.randint(i + 1, n))
+        form = rng.choice(WORD_RULE_WORDS)
+        tokens.append(Token(
+            id=at[i - 1], form=form, lemma=form,
+            upos="NUM" if form == "2" else rng.choice(WORD_RULE_UPOS),
+            head=0 if head == 0 else at[head - 1],
+            deprel="root" if head == 0 else rng.choice(WORD_RULE_RELATIONS),
+        ))
+    return DependencyGraph(tokens=sorted(tokens, key=lambda t: t.id))
+
+
+def test_word_rule_matches_reference_on_random_trees(lexicon, monkeypatch):
+    polarize_module = sys.modules["udpolarity.polarize"]
+    negate_subtree = polarize_module.negate_subtree
+    rng = random.Random(12)
+    calls = passed = 0
+
+    def checked(node, lexicon, suppressed=frozenset(), known=None):
+        nonlocal calls, passed
+        targets = []
+        expected = reference_word_rule(node, lexicon, suppressed, targets.append)
+        before = dict(known)
+        got = apply_word_rule(node, lexicon, suppressed, known)
+        assert got == expected
+        assert targets == ([node.parent.right] if got else [])
+        calls += 1
+        stack = [node]
+        while stack:  # a subtree the walk may pass
+            sub = stack.pop()
+            if sub in before:
+                passed += 1
+                break
+            if sub.left is not None:
+                stack += (sub.left, sub.right)
+        return got
+
+    def reference(node, lexicon, suppressed=frozenset(), known=None):
+        return reference_word_rule(node, lexicon, suppressed, negate_subtree)
+
+    for _ in range(1500):
+        graph = word_rule_graph(rng)
+        marks = []
+        for word_rule in (checked, reference):
+            monkeypatch.setattr(polarize_module, "apply_word_rule", word_rule)
+            tree = binarize(graph)
+            polarize(tree, lexicon)
+            marks.append(project_to_tokens(tree, graph).tokens)
+        assert marks[0] == marks[1], serialize_conllu([graph])
+    # the nests hold subtrees the walk passes as suppressed
+    assert calls > 10_000 and passed > 500, (calls, passed)
