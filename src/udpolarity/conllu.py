@@ -3,7 +3,8 @@
 Only the columns that drive polarization are kept on each token (ID, FORM,
 LEMMA, UPOS, HEAD, DEPREL); the remaining CoNLL-U columns are accepted on
 input and written back as '_'. Multiword-token ranges ("3-4") and empty
-nodes ("5.1") are skipped: polarization runs on the basic tree only.
+nodes ("5.1") are skipped: polarization runs on the basic tree only, whose
+word ids must run 1..n.
 """
 
 from functools import cached_property
@@ -15,7 +16,7 @@ class ConlluError(Exception):
 
 
 class ValidationError(ConlluError):
-    """Structurally invalid sentence (cycle, multiple roots, dangling head)."""
+    """Structurally invalid sentence (cycle, multiple roots, dangling head, ids not 1..n)."""
 
 
 class Token(NamedTuple):
@@ -88,15 +89,18 @@ def _fault(graph):
             return f"token {t.id} has dangling head {t.head}"
         if not t.deprel:
             return f"token {t.id} lacks a deprel"
-    # the root does not reach every token, and no head is missing: the
-    # first token left out leads up into a cycle
+    # when the root does not reach every token, and no head is missing,
+    # the first token left out leads up into a cycle
     reached = set(graph.order)
-    tok = next(t for t in tokens if t not in reached)
-    seen = set()
-    while tok.id not in seen:
-        seen.add(tok.id)
-        tok = known[tok.head]
-    return f"cycle through token {tok.id}"
+    tok = next((t for t in tokens if t not in reached), None)
+    if tok is not None:
+        seen = set()
+        while tok.id not in seen:
+            seen.add(tok.id)
+            tok = known[tok.head]
+        return f"cycle through token {tok.id}"
+    missing = next(i for i in range(1, len(tokens) + 1) if i not in known)
+    return f"missing token id {missing} (ids run 1..{len(tokens)})"
 
 
 def _newlines(text):
@@ -194,12 +198,12 @@ def _parse_block(lines, first_line, ordinal):
     sent_id = comments.get("sent_id") or str(ordinal)
     text = comments.get("text") or " ".join([t.form for t in tokens])
     graph = DependencyGraph(tokens, text, sent_id)
-    # a tree has unique ids from 1 (else `order` may never end), one root
-    # and labels throughout, and the root reaches every token: a self-head,
-    # a dangling head or a cycle leaves some token out
+    # a tree has unique ids from 1 (else `order` may never end) up to its
+    # size, one root and labels throughout, and the root reaches every
+    # token: a self-head, a dangling head or a cycle leaves some token out
     ids = {t.id for t in tokens}
     if (len(ids) != len(tokens) or len(graph._children.get(0, ())) != 1 or min(ids) < 1
-            or unlabelled or len(graph.order) != len(tokens)):
+            or max(ids) != len(tokens) or unlabelled or len(graph.order) != len(tokens)):
         raise ValidationError(f"sentence {sent_id}: {_fault(graph)}")
     return graph
 

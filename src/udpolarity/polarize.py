@@ -28,16 +28,14 @@ polarizer keeps the rules in progress on an explicit stack, so tree depth
 is bounded by memory, not by the interpreter's recursion limit.
 
 A determiner finds its quantifier phrase through _Phrases, built on the
-sentence's first determiner. It reads the tokens near it one by one, up to
-a budget of two reads per token of the sentence, and sorted tables built
-once per sentence past that. So ids far apart cost no more than ids in a
-row, and determiners nested in each other cost time linear in the
-sentence. The one exception is a nest whose dependents are not
-projective: a dependent whose ids span k words that may start a phrase
-but are not its own costs up to k steps to pass them.
+sentence's first determiner. A sentence's ids run 1..n (conllu refuses
+any other), so _Phrases reads tokens from a list indexed by id, and the
+scans of all of a sentence's determiners together take time linear in
+the sentence, however the determiners nest. The one exception is a nest
+whose dependents are not projective: a dependent whose ids span k words
+that start a phrase but are not its own costs up to k steps to pass them.
 """
 
-from bisect import bisect_left
 from itertools import chain
 from typing import NamedTuple
 
@@ -66,10 +64,9 @@ ADVERBIAL_RELATIONS = {"advmod", "advmod-sent", "case"}
 _PHRASE_STOP_UPOS = {"NOUN", "PROPN", "VERB", "AUX", "PUNCT"}
 _GAP_STOP_UPOS = _PHRASE_STOP_UPOS | {"ADJ"}
 _PHRASE_SCAN_LIMIT = 6
-# ids and words a sentence's determiners read one by one, per token of the
-# sentence, before they read tables (see _Phrases)
+# words of dependents a sentence's determiners read whole, per token of the
+# sentence, before they read dependents by their leaf runs (see _Phrases)
 _LOCAL_READS = 2
-_NOWHERE = frozenset().__contains__
 
 
 class AnnotatedSentence(NamedTuple):
@@ -96,42 +93,31 @@ def _leaf_ids(node, limit):
 
 class _Phrases:
     """What a sentence's determiners read their quantifier phrases from,
-    built on the sentence's first determiner.
-
-    A scan reads tokens one by one near its determiner: the dependent's
-    words, the ids between a phrase and its head, the ids a phrase covers.
-    That is cheaper than building tables for a short sentence, but a
-    sentence reads at most _LOCAL_READS ids or words one by one per token
-    it has. Past that budget, scans read tables built once per sentence
-    on first need: ids in order, searched by bisection, and lists indexed
-    by rank, a token's place in id order. Every subtree's leaves form one
-    run of the tree's leaves, so a token is in a subtree iff its leaf
-    position lies in the subtree's run. Nothing indexes by raw id, since
-    ids may be sparse.
+    built on the sentence's first determiner: its tokens in a list indexed
+    by id, and what its scans found so far, so that together they take
+    time linear in the sentence (but see the module's docstring). A
+    dependent of several words is read whole while the sentence's budget
+    of _LOCAL_READS words per token lasts, and past it by its run of the
+    tree's leaves: every subtree's leaves form one run, so a token is in
+    a subtree iff its leaf position lies in the subtree's run.
     """
 
     def __init__(self, tree, lexicon):
         self.lexicon = lexicon
         self.leaves = tree.leaves()
-        self.by_id = {leaf.val.id: leaf.val for leaf in self.leaves}
-        self.budget = _LOCAL_READS * len(self.leaves)  # see _local()
+        n = len(self.leaves)
+        self.toks = toks = [None] * (n + 1)  # id -> token
+        for leaf in self.leaves:
+            i = leaf.val.id
+            if not 0 < i <= n or toks[i] is not None:
+                raise MarkError(f"token id {i}: the ids of a sentence must run 1..{n}")
+            toks[i] = leaf.val
+        self.budget = _LOCAL_READS * n
         self.matches = {}  # id -> [(length, profile)] of the phrases it starts, longest first
-        self.ids = None  # the ids in order, and the tables below, on first need
-        self.stops = None  # ids of the tokens that may not stand between a phrase and its head
-        self.anchors = None  # ids that may start a phrase, see _anchors()
-        self.live = None  # see _anchors()
-        self.at = None  # id -> leaf position
+        self.floors = [0, 0] + [None] * (n - 1)  # see _floor()
+        self.unsuppressed = list(range(n + 2))  # see suppress()
+        self.at = self.live = None  # see _extent() and _anchors()
         self.extents = {}  # node -> (first leaf position, last leaf position, largest id)
-        self.unsuppressed = None  # see suppress()
-
-    def _local(self, cost):
-        """Whether `cost` more ids or words may be read one by one; if they
-        may, they are taken from the sentence's budget."""
-        if cost > self.budget:
-            return False
-        if cost > 0:
-            self.budget -= cost
-        return True
 
     def scan(self, det_node):
         """The quantifier phrase governing a det/nummod node, as (profile,
@@ -146,51 +132,38 @@ class _Phrases:
         the span and the governed head. The phrase covers its span and
         that material.
         """
-        by_id = self.by_id
+        toks = self.toks
         dep = det_node.left
         first = dep.min_id
-        # the dependent is read whole while the budget lasts, else by its
-        # leaf run, and its candidates from the anchors table
-        if dep.left is None:
-            inside = _NOWHERE
-        else:
-            members = _leaf_ids(dep, self.budget)
-            self.budget = 0 if members is None else self.budget - len(members)
-            if members is not None:
-                members.sort()
-                inside = set(members).__contains__
-            else:
-                lo, hi, top = self._extent(dep)
-                at = self.at
-                inside = lambda i: lo <= at[i] <= hi  # noqa: E731
         start = first
-        while first - start < _PHRASE_SCAN_LIMIT:
-            tok = by_id.get(start - 1)
-            if tok is None or tok.upos in _PHRASE_STOP_UPOS:
+        while first - start < _PHRASE_SCAN_LIMIT and start > 1:
+            if toks[start - 1].upos in _PHRASE_STOP_UPOS:
                 break
             start -= 1
-        # a span passes iff it ends at or after the last gap stop before
-        # the head, `floor`; any id before `start` stands for none after it
+        # a span passes iff it ends at or after `floor`, the last gap stop
+        # before the head
         head = det_node.right.min_id
-        if self._local(head - start):
-            floor = head - 1
-            while floor >= start and (floor not in by_id or by_id[floor].upos not in _GAP_STOP_UPOS):
-                floor -= 1
-        else:
-            floor = self._floor(head)
-        if start < floor - self.lexicon.max_phrase_len + 1:
-            start = floor - self.lexicon.max_phrase_len + 1
+        floor = self._floor(head)
+        start = max(start, floor - self.lexicon.max_phrase_len + 1)
         # the candidates: every id from `start` to `first`, then the
-        # subtree's ids after it
+        # dependent's ids after it (`start` may lie past `first`); a
+        # dependent of several words is read whole while the budget lasts,
+        # else by its leaf run
+        members = None if dep.left is None else _leaf_ids(dep, self.budget)
         if dep.left is None:
-            anchors = range(start, first + 1)
+            anchors, inside = range(start, first + 1), {first}.__contains__
         elif members is not None:
-            anchors = chain(range(start, first), members[bisect_left(members, start):])
+            self.budget -= len(members)
+            members.sort()
+            anchors, inside = chain(range(start, first), members), set(members).__contains__
         else:
-            anchors = self._anchors(start, top)
+            self.budget = 0
+            lo, hi, top = self._extent(dep)
+            at = self.at
+            anchors, inside = self._anchors(start, top), lambda i: lo <= at[i] <= hi  # noqa: E731
         matches = self.matches
         for a in anchors:
-            if a > first and not inside(a):
+            if a < start or a > first and not inside(a):
                 continue
             found = matches.get(a)
             if found is None:
@@ -206,72 +179,63 @@ class _Phrases:
     def _matches(self, a):
         """(length, profile) of every span of consecutive ids starting at
         id `a` that has a profile, longest first."""
-        by_id, words = self.by_id, self.lexicon.first_words
-        tok = by_id[a]
+        toks, words = self.toks, self.lexicon.first_words
+        tok = toks[a]
         longest = words.get(tok.form.lower(), 0)
         if tok.upos == "NUM" and NUM_WILDCARD in words:
             longest = max(longest, words[NUM_WILDCARD])
         if not longest:
             return []
-        span = [tok]
-        while len(span) < longest and a + len(span) in by_id:
-            span.append(by_id[a + len(span)])
+        span = toks[a:a + longest]
         profile = self.lexicon.profile
         found = [(length, profile(span[:length])) for length in range(len(span), 0, -1)]
         return [match for match in found if match[1] is not None]
 
-    def _sorted(self):
-        if self.ids is None:
-            self.ids = sorted(self.by_id)
-
     def _floor(self, head):
         """The last id before `head` whose token may not stand between a
-        phrase and its head, or 0."""
-        if self.stops is None:
-            self._sorted()
-            self.stops = [i for i in self.ids if self.by_id[i].upos in _GAP_STOP_UPOS]
-        k = bisect_left(self.stops, head)
-        return self.stops[k - 1] if k else 0
+        phrase and its head, or 0. floors[i] is that id for i, once found;
+        a walk down from `head` finds it for every id it passes."""
+        floors, toks = self.floors, self.toks
+        i = head
+        while floors[i] is None:
+            if toks[i - 1].upos in _GAP_STOP_UPOS:
+                floors[i] = i - 1
+                break
+            i -= 1
+        floors[i + 1:head + 1] = [floors[i]] * (head - i)
+        return floors[head]
 
     def _anchors(self, start, top):
         """Every id from `start` to `top` that may start a phrase, in
-        order, from the anchors table."""
-        if self.anchors is None:
-            self._sorted()
-            words, by_id = self.lexicon.first_words, self.by_id
-            num = NUM_WILDCARD in words
-            self.anchors = [
-                i for i in self.ids
-                if by_id[i].form.lower() in words or (num and by_id[i].upos == "NUM")
-            ]
-            self.live = list(range(len(self.anchors) + 1))
-        # live[k] is k, or a later index when every anchor from index k up
-        # to it (not included) is found to start no phrase
-        anchors, live, matches = self.anchors, self.live, self.matches
-        k = bisect_left(anchors, start)
-        while k < len(anchors) and anchors[k] <= top:
-            if live[k] == k:
-                found = matches.get(anchors[k])
+        order. live[i] is i, or a later id when every id from i up to it
+        (not included) is found to start no phrase."""
+        live, matches, i = self.live, self.matches, start
+        while i <= top:
+            if live[i] == i:
+                found = matches.get(i)
                 if found is None:
-                    found = matches[anchors[k]] = self._matches(anchors[k])
+                    found = matches[i] = self._matches(i)
                 if found:
-                    yield anchors[k]
-                    k += 1
+                    yield i
+                    i += 1
                     continue
-                live[k] = k + 1
-            # jump to the end of a run of anchors that start no phrase, and
-            # point each anchor on the way there to it
-            after = live[k]
+                live[i] = i + 1
+            # jump to the end of a run of ids that start no phrase, and
+            # point each id on the way there to it
+            after = live[i]
             while live[after] != after:
                 after = live[after]
-            while k != after:
-                live[k], k = after, live[k]
+            while i != after:
+                live[i], i = after, live[i]
 
     def _extent(self, node):
         """(first leaf position, last leaf position, largest token id) of a
         subtree; no node is walked twice in a sentence."""
         if self.at is None:
-            self.at = {leaf.val.id: p for p, leaf in enumerate(self.leaves)}
+            self.at = at = [0] * len(self.toks)
+            for p, leaf in enumerate(self.leaves):
+                at[leaf.val.id] = p
+            self.live = list(range(len(self.toks) + 1))
         extents, at = self.extents, self.at
         stack = [node]
         while stack:
@@ -291,29 +255,18 @@ class _Phrases:
         return extents[node]
 
     def suppress(self, first, last, suppressed):
-        """Add the ids from `first` to `last` to `suppressed`. Past the
-        budget, ids are read by rank, each added at most once a sentence:
-        every rank from r up to `unsuppressed[r]` (not included) is added
-        already, or r is not, `unsuppressed[r] == r`."""
-        if self._local(last - first + 1):
-            for i in range(first, last + 1):
-                if i in self.by_id:
-                    suppressed.add(i)
-            return
-        self._sorted()
-        if self.unsuppressed is None:
-            self.unsuppressed = list(range(len(self.ids) + 1))
-        skip, ids = self.unsuppressed, self.ids
-        end = bisect_left(ids, last + 1)
-        r = bisect_left(ids, first)
-        while r < end:
-            after = skip[r]
-            if after == r:
-                suppressed.add(ids[r])
-                after = r + 1
+        """Add the ids from `first` to `last` to `suppressed`, each at most
+        once a sentence: unsuppressed[i] is i when id i is not added yet,
+        else a later id up to which (not included) every id is added."""
+        skip, i, end = self.unsuppressed, first, last + 1
+        while i < end:
+            after = skip[i]
+            if after == i:
+                suppressed.add(i)
+                after = i + 1
             # all of first..last is added by the time this call returns
-            skip[r] = after if after > end else end
-            r = after
+            skip[i] = after if after > end else end
+            i = after
 
 
 def apply_word_rule(node, lexicon, suppressed=frozenset(), known=None):
@@ -482,10 +435,8 @@ def rule_determiner(run, node):
     quantifier reads as "at least n": the numeral flips against its
     context. Anything else defaults to an existential profile.
 
-    The phrase comes from the sentence's _Phrases, which reads the tokens
-    near the determiner one by one while the sentence's budget lasts, and
-    tables past it. The ids the phrase covers are suppressed for the word
-    rules of advmod/case/mark.
+    The phrase comes from the sentence's _Phrases. The ids it covers are
+    suppressed for the word rules of advmod/case/mark.
     """
     node.left.mark = node.mark
     outside = _UP  # the operator on the clause outside the phrase
@@ -552,7 +503,8 @@ def polarize(tree, lexicon=None):
     """Assign a polarity mark to every node of a freshly binarized tree.
 
     The root may carry a start mark (↑ when it has none); a tree whose
-    root's children are marked already is a MarkError.
+    root's children are marked already is a MarkError, and so is a tree
+    with a determiner whose token ids do not run 1..n.
     """
     if lexicon is None:
         lexicon = load_lexicon()

@@ -10,6 +10,7 @@ import time
 import pytest
 
 from udpolarity import (
+    ConlluError,
     MarkError,
     binarize,
     parse_conllu,
@@ -518,6 +519,76 @@ def test_jobs_property_output_equals_jobs_1(tmp_path):
             expected = run_cli([*argv, "--jobs", "1"])
             for jobs in ("2", "3", "5"):
                 assert run_cli([*argv, "--jobs", jobs]) == expected, (k, argv, jobs)
+
+
+def _mutated(rng, blocks):
+    """Blocks (lists of lines) with 1-4 random changes to their token
+    lines: heads, ids (a token renumbered past n among them), deprels,
+    dropped columns and duplicated lines. Some leave the sentence valid."""
+    blocks = [block[:] for block in blocks]
+    for _ in range(rng.randint(1, 4)):
+        lines = rng.choice(blocks)
+        rows = [k for k, line in enumerate(lines) if line[0] != "#" and line.count("\t") == 9]
+        kind = rng.choice(["head", "id", "gap", "deprel", "column", "duplicate"]) if rows else "duplicate"
+        if kind == "duplicate":
+            k = rng.randrange(len(lines))
+            lines.insert(k, lines[k])
+            continue
+        k = rng.choice(rows)
+        cols = lines[k].split("\t")
+        if kind == "head":
+            cols[6] = rng.choice(["0", "x", "-1", str(rng.randint(1, len(rows) + 2))])
+        elif kind == "id":
+            cols[0] = rng.choice(["0", "a", f"{cols[0]}.1", f"{cols[0]}-{len(rows) + 1}",
+                                  str(rng.randint(1, len(rows) + 2))])
+        elif kind == "gap":  # renumber the token past n, its dependents' heads with it
+            old, cols[0] = cols[0], str(len(rows) + rng.randint(1, 3))
+            for j in rows:
+                other = lines[j].split("\t")
+                if other[6] == old:
+                    other[6] = cols[0]
+                    lines[j] = "\t".join(other)
+        elif kind == "deprel":
+            cols[7] = rng.choice(["_", "", "det", "nsubj", "advmod", "weird:rel"])
+        else:
+            del cols[rng.randrange(10)]
+        lines[k] = "\t".join(cols)
+    return blocks
+
+
+def _valid(block, lexicon):
+    """Whether the library annotates a block, alone, without a fault."""
+    try:
+        for graph in parse_conllu(block):
+            tree = binarize(graph)
+            project_to_tokens(polarize(tree, lexicon), graph)
+    except (ConlluError, MarkError):
+        return False
+    return True
+
+
+def test_lenient_output_is_strict_output_on_the_valid_blocks(tmp_path, lexicon):
+    # --lenient drops exactly the invalid sentences: on mutated copies of
+    # the mini corpus, its output is the strict output on the valid blocks
+    mini = (DATA / "mini_corpus.conllu").read_text("utf-8")
+    blocks = [block.split("\n") for block in mini.strip().split("\n\n")]
+    rng = random.Random(13)
+    dropped = 0
+    for k in range(400):
+        mutated = _mutated(rng, blocks)
+        valid = [lines for lines in mutated if _valid(lines, lexicon)]
+        fmt = ("inline", "tsv", "sexpr", "dot")[k % 4]
+        text = "\n\n".join("\n".join(lines) for lines in mutated) + "\n"
+        lenient = run_cli(["polarize", "--lenient", "--format", fmt, write(tmp_path, "all", text)])
+        text = "\n\n".join("\n".join(lines) for lines in valid) + "\n"
+        strict = run_cli(["polarize", "--format", fmt, write(tmp_path, "valid", text)])
+        assert strict[0] == lenient[0] == 0 and strict[2] == "", (k, strict)
+        assert lenient[1] == strict[1], k
+        skips = lenient[2].splitlines()
+        assert len(skips) == len(mutated) - len(valid), (k, skips)
+        assert all(line.startswith("skipping sentence: ") for line in skips)
+        dropped += len(skips)
+    assert 400 < dropped < 3000, dropped  # most files hold valid and invalid sentences
 
 
 def test_byte_order_mark_is_dropped(tmp_path, monkeypatch):

@@ -227,6 +227,9 @@ def reference_fault(rows):
             tid = parent[tid]
         if colour[tid] == walk:
             return f"cycle through token {tid}"
+    missing = sorted(set(range(1, len(ids) + 1)) - set(ids))
+    if missing:
+        return f"missing token id {missing[0]} (ids run 1..{len(ids)})"
     return None
 
 
@@ -246,7 +249,7 @@ def _with_faults(rng, rows, count):
         row = rng.choice(rows)
         # a cycle is named only when no other fault is, so it comes up twice as often
         fault = rng.choice(
-            ["duplicate", "root", "id0", "self", "dangling", "deprel", "cycle", "cycle"]
+            ["duplicate", "root", "id0", "self", "dangling", "deprel", "cycle", "cycle", "gap"]
         )
         if fault == "duplicate":
             row[0] = rng.choice(rows)[0]
@@ -260,6 +263,11 @@ def _with_faults(rng, rows, count):
             row[4] = len(rows) + rng.randint(1, 3)
         elif fault == "deprel":
             row[5] = rng.choice(["_", ""])
+        elif fault == "gap":  # renumber the token past n, its dependents' heads with it
+            old, row[0] = row[0], max(r[0] for r in rows) + rng.randint(1, 3)
+            for r in rows:
+                if r[4] == old:
+                    r[4] = row[0]
         elif _below(rows, row[0]):  # a cycle: hang the token under itself
             row[4] = rng.choice(sorted(_below(rows, row[0])))
     if rng.random() < 0.5:
@@ -275,6 +283,7 @@ FAULT_MESSAGES = {
     "dangling": "has dangling head",
     "deprel": "lacks a deprel",
     "cycle": "cycle through token",
+    "gap": "missing token id",
 }
 
 

@@ -1,15 +1,17 @@
+import io
 import random
 import sys
-import tracemalloc
 
 import pytest
 
 from udpolarity import (
+    BinaryDepTree,
     DependencyGraph,
     MarkError,
     Polarity,
     RelationHierarchy,
     Token,
+    ValidationError,
     apply_word_rule,
     binarize,
     load_lexicon,
@@ -19,6 +21,7 @@ from udpolarity import (
     serialize_conllu,
     to_sexpression,
 )
+from udpolarity.cli import main
 from udpolarity.polarize import DETERMINER_RELATIONS, _Phrases
 
 from .conftest import (
@@ -573,8 +576,7 @@ def reference_scan(det_node, lexicon, tokens_by_id):
             profile = lexicon.profile(span)
             if profile is None:
                 continue
-            # the tokens whose ids lie between the span and the head (the
-            # scan looped over the ids themselves, which sparse ids make long)
+            # the tokens whose ids lie between the span and the head
             gap = [t for j, t in tokens_by_id.items() if span[-1].id < j < head_min]
             if any(t.upos in {"NOUN", "PROPN", "VERB", "AUX", "ADJ", "PUNCT"} for t in gap):
                 continue
@@ -617,21 +619,16 @@ def scan_heads(rng, n, projective):
 def scan_graph(rng):
     """A random tree whose surface is rich in quantifier phrases. A
     projective tree keeps its positions as surface order; other trees
-    shuffle their ids. Some trees have gaps in their ids."""
+    shuffle their ids."""
     words = []
     while len(words) < 2 or rng.random() < 0.75:
         words += rng.choice(SCAN_PHRASES).split()
     n = len(words)
-    ids, next_id = [], 0
-    sparse = rng.random() < 0.3
-    for _ in range(n):
-        next_id += rng.choice([1, 1, 1, 2, 50_000_000]) if sparse else 1
-        ids.append(next_id)
     projective = rng.random() < 0.5
-    at = ids[:] if projective else rng.sample(ids, n)
+    at = list(range(1, n + 1)) if projective else rng.sample(range(1, n + 1), n)
     tokens = []
     for pos, head in enumerate(scan_heads(rng, n, projective)):
-        form = words[ids.index(at[pos])]
+        form = words[at[pos] - 1]
         upos = "NUM" if form in ("2", "3", "two") else rng.choice(SCAN_UPOS)
         tokens.append(Token(
             id=at[pos], form=form, lemma=form, upos=upos,
@@ -676,33 +673,36 @@ def test_phrase_scan_matches_reference_on_random_trees(tmp_path, monkeypatch):
     assert scans > 20_000 and 0.2 < found / scans < 0.8, (scans, found)
 
 
-def test_ids_far_apart_are_never_looped_over(lexicon):
-    # the scan once looped over every id between a phrase and its head:
-    # 50 million steps for these two tokens
-    (graph,) = parse_conllu(conllu_block([(1, "the", "the", "DET", 50_000_000, "det"),
-                                          (50_000_000, "dogs", "dog", "NOUN", 0, "root")]))
-    tree = binarize(graph)
-    limit = 10_000
-    lines = [0]
+SPARSE_IDS = conllu_block([(1, "the", "the", "DET", 50_000_000, "det"),
+                           (50_000_000, "dogs", "dog", "NOUN", 0, "root")], sent_id="far")
 
-    def trace(frame, event, arg):
-        if event == "line":
-            lines[0] += 1
-            if lines[0] > limit:
-                raise AssertionError(f"polarize ran more than {limit} lines")
-        return trace
 
-    previous = sys.gettrace()
-    tracemalloc.start()
-    sys.settrace(trace)
-    try:
-        polarize(tree, lexicon)
-    finally:
-        sys.settrace(previous)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-    assert peak < 1_000_000, peak
-    assert inline(project_to_tokens(tree, graph)) == "the↑ dogs="
+def test_ids_that_skip_are_refused(tmp_path):
+    # ids run 1..n: a sentence whose ids skip is invalid, as a cycle is
+    message = "sentence far: missing token id 2 (ids run 1..2)"
+    with pytest.raises(ValidationError) as info:
+        parse_conllu(SPARSE_IDS)
+    assert str(info.value) == message
+    path = tmp_path / "far.conllu"
+    path.write_text(SPARSE_IDS + "\n" + conllu_block([(1, "dogs", "dog", "NOUN", 0, "root")]),
+                    encoding="utf-8")
+    for lenient, expected in (([], (1, "", f"error: {message}\n")),
+                              (["--lenient"], (0, "1\tdogs\tNOUN\t^\n\n",
+                                               f"skipping sentence: {message}\n"))):
+        out, err = io.StringIO(), io.StringIO()
+        code = main(["polarize", "--format", "tsv", *lenient, str(path)], out=out, err=err)
+        assert (code, out.getvalue(), err.getvalue()) == expected
+
+
+@pytest.mark.parametrize("ids", [(1, 3), (3, 1), (0, 1), (-1, 2), (2, 2)])
+def test_hand_built_ids_that_are_not_1_to_n_are_a_mark_error(lexicon, ids):
+    # a tree built without the parser: its determiner must not read past
+    # the list it indexes by id, or wrap round to its end
+    the, dogs = (BinaryDepTree(Token(id=i, form=form, lemma=form, upos=upos, head=0, deprel="_"))
+                 for i, form, upos in zip(ids, ("the", "dogs"), ("DET", "NOUN")))
+    bad = next(i for i in ids if not 0 < i <= 2 or ids.count(i) > 1)
+    with pytest.raises(MarkError, match=rf"^token id {bad}: the ids of a sentence must run 1\.\.2$"):
+        polarize(BinaryDepTree("det", the, dogs), lexicon)
 
 
 def reference_word_rule(node, lexicon, suppressed=frozenset(), negate=None):
