@@ -7,8 +7,9 @@ nodes ("5.1") are skipped: polarization runs on the basic tree only, whose
 word ids must run 1..n.
 """
 
+from collections import namedtuple
 from functools import cached_property
-from typing import NamedTuple
+from itertools import islice
 
 
 class ConlluError(Exception):
@@ -19,18 +20,8 @@ class ValidationError(ConlluError):
     """Structurally invalid sentence (cycle, multiple roots, dangling head, ids not 1..n)."""
 
 
-class Token(NamedTuple):
-    id: int
-    form: str
-    lemma: str
-    upos: str
-    head: int
-    deprel: str
-
-    @property
-    def is_punct(self):
-        return self.upos == "PUNCT" or self.deprel == "punct"
-
+Token = namedtuple("Token", "id form lemma upos head deprel")
+Token.is_punct = property(lambda t: t.upos == "PUNCT" or t.deprel == "punct")
 
 _tuple_new = tuple.__new__  # builds a Token in C, not in its Python __new__
 
@@ -55,10 +46,14 @@ class DependencyGraph:
 
     @cached_property
     def order(self):
-        """The tokens the root reaches, breadth first from the root."""
+        """The tokens the root reaches, breadth first from the root. The walk
+        stops after as many tokens as the sentence has: in a graph that is
+        not a tree, a repeated id or an id 0 can lead back to a token
+        already listed."""
         children = self._children
         order = children.get(0, [])[:1]
-        for tok in order:  # also visits the tokens appended during the loop
+        # also visits the tokens appended during the loop
+        for tok in islice(order, len(self.tokens)):
             order += children.get(tok.id, ())
         return order
 
@@ -71,8 +66,14 @@ def graph_root(graph):
     return roots[0]
 
 
+def _refusal(graph):
+    """The ValidationError for a sentence that is not a tree, naming its
+    first fault."""
+    return ValidationError(f"sentence {graph.sent_id or '?'}: {_fault(graph)}")
+
+
 def _fault(graph):
-    """The first fault, in a fixed order, of a sentence _parse_block refuses."""
+    """The first fault, in a fixed order, of a sentence that is not a tree."""
     tokens = graph.tokens
     known = {t.id: t for t in tokens}
     if len(known) != len(tokens):
@@ -198,13 +199,13 @@ def _parse_block(lines, first_line, ordinal):
     sent_id = comments.get("sent_id") or str(ordinal)
     text = comments.get("text") or " ".join([t.form for t in tokens])
     graph = DependencyGraph(tokens, text, sent_id)
-    # a tree has unique ids from 1 (else `order` may never end) up to its
-    # size, one root and labels throughout, and the root reaches every
-    # token: a self-head, a dangling head or a cycle leaves some token out
+    # a tree has unique ids from 1 up to its size, one root and labels
+    # throughout, and the root reaches every token: a self-head, a dangling
+    # head or a cycle leaves some token out
     ids = {t.id for t in tokens}
     if (len(ids) != len(tokens) or len(graph._children.get(0, ())) != 1 or min(ids) < 1
             or max(ids) != len(tokens) or unlabelled or len(graph.order) != len(tokens)):
-        raise ValidationError(f"sentence {sent_id}: {_fault(graph)}")
+        raise _refusal(graph)
     return graph
 
 

@@ -7,7 +7,7 @@ rest precision/recall/F1 per polarity label. Punctuation and other unscored
 tokens (mark None on the prediction side) are excluded throughout.
 """
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .conllu import read_text, sentence_blocks
 from .polarity import Polarity
@@ -23,9 +23,8 @@ class AlignmentError(Exception):
     """Prediction and gold sentences do not line up."""
 
 
-class GoldSentence(NamedTuple):
-    sent_id: str
-    tokens: list  # (form, upos, Polarity) triples
+# tokens: (form, upos, Polarity) triples
+GoldSentence = namedtuple("GoldSentence", "sent_id tokens")
 
 
 class ScoredToken:
@@ -36,14 +35,10 @@ class ScoredToken:
         self.gold = gold
 
 
-class EvalReport(NamedTuple):
-    token_acc_all: float
-    token_acc_key: float
-    sent_acc_all: float
-    sent_acc_key: float
-    prf_all: dict  # Polarity -> (precision|None, recall|None, f1|None)
-    prf_key: dict
-    counts: dict  # sentences, tokens_scored_all, tokens_scored_key
+# prf_all, prf_key: Polarity -> (precision|None, recall|None, f1|None);
+# counts: sentences, tokens_scored_all, tokens_scored_key
+EvalReport = namedtuple("EvalReport", "token_acc_all token_acc_key sent_acc_all sent_acc_key "
+                                      "prf_all prf_key counts")
 
 
 def is_key_token(upos):

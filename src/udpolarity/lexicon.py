@@ -7,10 +7,10 @@ are case-insensitive and multi-word surface forms are supported
 throughout.
 """
 
+import os
+from collections import namedtuple
 from functools import cached_property
-from importlib import resources
 from itertools import chain
-from typing import NamedTuple
 
 from .conllu import read_text
 from .polarity import _DOWN, Polarity
@@ -24,11 +24,8 @@ class LexiconError(Exception):
     """Malformed or conflicting lexicon data."""
 
 
-class QuantifierProfile(NamedTuple):
-    surface: tuple  # lowercase word forms; NUM_WILDCARD matches any NUM token
-    first_arg: Polarity
-    second_arg: Polarity
-    category: str
+# surface: lowercase word forms; NUM_WILDCARD matches any NUM token
+QuantifierProfile = namedtuple("QuantifierProfile", "surface first_arg second_arg category")
 
 
 class Lexicon:
@@ -116,7 +113,7 @@ def read_rows(path, name=None):
 
 def bundled_rows(filename):
     """The rows of a table shipped in udpolarity/data, named <builtin>."""
-    return read_rows(resources.files("udpolarity.data").joinpath(filename), "<builtin>")
+    return read_rows(os.path.join(os.path.dirname(__file__), "data", filename), "<builtin>")
 
 
 def _load_quantifier_rows(rows, target):

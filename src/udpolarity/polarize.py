@@ -36,10 +36,9 @@ whose dependents are not projective: a dependent whose ids span k words
 that start a phrase but are not its own costs up to k steps to pass them.
 """
 
+from collections import namedtuple
 from itertools import chain
-from typing import NamedTuple
 
-from .binarize import BinaryDepTree
 from .lexicon import NUM_WILDCARD, is_downward_operator, load_lexicon
 from .polarity import (
     _DOWN,
@@ -69,11 +68,10 @@ _PHRASE_SCAN_LIMIT = 6
 _LOCAL_READS = 2
 
 
-class AnnotatedSentence(NamedTuple):
-    """Token-level marks plus the fully marked tree behind them."""
-
-    tokens: list  # (Token, Polarity | None) pairs; None = unscored (punct)
-    tree: BinaryDepTree
+# tokens: (Token, Polarity | None) pairs, None for an unscored token (punct);
+# tree: a BinaryDepTree
+AnnotatedSentence = namedtuple("AnnotatedSentence", "tokens tree")
+AnnotatedSentence.__doc__ = "Token-level marks plus the fully marked tree behind them."
 
 
 def _leaf_ids(node, limit):

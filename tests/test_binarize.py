@@ -1,4 +1,8 @@
 import hashlib
+import os
+import pathlib
+import subprocess
+import sys
 
 from udpolarity import (
     RelationHierarchy,
@@ -167,6 +171,38 @@ def test_binarize_refused_sentence_structure():
         to_sexpression(tree)
         == "(nsubj (det No student) (xcomp refused (mark to (obl dance (case without shoes)))))"
     )
+
+
+def test_graph_that_is_not_a_tree_is_refused():
+    # graphs built without the parser: an id 0 once made `order` grow
+    # without end, and a repeated id raised KeyError. The child process
+    # bounds the time and the memory such a run may take
+    script = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+from udpolarity import DependencyGraph, Token, ValidationError, binarize
+for rows in (
+    [(0, "the", "DET", 1, "det"), (1, "dogs", "NOUN", 0, "root")],
+    [(1, "dogs", "NOUN", 0, "root"), (2, "the", "DET", 1, "det"), (2, "a", "DET", 1, "det")],
+):
+    try:
+        binarize(DependencyGraph([Token(i, f, f, u, h, r) for i, f, u, h, r in rows]))
+    except ValidationError as exc:
+        print(exc)
+"""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    child = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=20,
+    )
+    assert (child.returncode, child.stderr) == (0, "")
+    assert child.stdout.splitlines() == [
+        "sentence ?: token id 0 < 1",
+        "sentence ?: duplicate token ids",
+    ]
 
 
 def test_modifiers_left_heads_right():

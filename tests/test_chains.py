@@ -9,6 +9,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from functools import partial
 
 import udpolarity
 from udpolarity import (
@@ -243,13 +244,26 @@ def nested_adverbs(first, n):
     return workloads.conllu_block("adverbs", rows)
 
 
+def nested_markers(n):
+    """CoNLL-U of `the` and n - 1 `if`s, each the mark of the word before
+    it, `the` the det of `dogs`, the subject of `bark`: one phrase covers
+    every `if`."""
+    rows = [(1, "the", "the", "DET", n + 1, "det")]
+    rows += [(i, "if", "if", "SCONJ", i - 1, "mark") for i in range(2, n + 1)]
+    rows += [(n + 1, "dogs", "dog", "NOUN", n + 2, "nsubj"),
+             (n + 2, "bark", "bark", "VERB", 0, "root")]
+    return workloads.conllu_block("markers", rows)
+
+
 def test_nested_adverbs_under_a_phrase_read_linearly():
-    # each advmod's word rule once read its dependent again down to a word
-    # the phrase does not cover, or whole when it covers all: about n^2/2
-    # steps
-    for first in ("the", "very"):
-        small = _lines_polarizing(nested_adverbs(first, 1000))
-        large = _lines_polarizing(nested_adverbs(first, 2000))
+    # each advmod's (or mark's) word rule once read its dependent again
+    # down to a word the phrase does not cover, or whole when it covers
+    # all: about n^2/2 steps
+    blocks = {"the": partial(nested_adverbs, "the"), "very": partial(nested_adverbs, "very"),
+              "if": nested_markers}
+    for first, block in blocks.items():
+        small = _lines_polarizing(block(1000))
+        large = _lines_polarizing(block(2000))
         assert 0 < large <= 2.2 * small, (first, small, large)
 
 

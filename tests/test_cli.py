@@ -354,17 +354,22 @@ def test_jobs_1_run_imports_no_dataclasses_or_process_pool():
         "    print(*sorted(sys.modules))\n"
     )
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    child = subprocess.run(
-        [sys.executable, "-c", script],
-        input="",
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
-        check=True,
-    )
-    loaded = set(child.stdout.split())
-    assert "udpolarity.polarize" in loaded
-    assert not loaded & {"dataclasses", "concurrent.futures", "pickle"}
+    for flags in ([], ["-S"]):
+        child = subprocess.run(
+            [sys.executable, *flags, "-c", script],
+            input="",
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            check=True,
+        )
+        loaded = set(child.stdout.split())
+        assert "udpolarity.polarize" in loaded
+        assert not loaded & {"dataclasses", "concurrent.futures", "pickle"}
+    # without site (python -S, the last run) nothing imports these before the
+    # package does: its records are plain namedtuples and its tables are
+    # read from the path next to it
+    assert not loaded & {"typing", "importlib.resources", "pathlib", "tempfile", "zipfile"}
 
 
 def test_jobs_2_matches_jobs_1_across_files_skips_and_deep_trees(tmp_path):
@@ -589,6 +594,38 @@ def test_lenient_output_is_strict_output_on_the_valid_blocks(tmp_path, lexicon):
         assert all(line.startswith("skipping sentence: ") for line in skips)
         dropped += len(skips)
     assert 400 < dropped < 3000, dropped  # most files hold valid and invalid sentences
+
+
+def test_lenient_eval_is_strict_eval_on_the_valid_blocks(tmp_path, lexicon):
+    # eval --lenient scores exactly the valid sentences: on mutated copies
+    # of the mini corpus, it prints what strict eval prints on the valid
+    # blocks alone, against gold with seeded marks for those blocks only
+    mini = (DATA / "mini_corpus.conllu").read_text("utf-8")
+    blocks = [block.split("\n") for block in mini.strip().split("\n\n")]
+    rng = random.Random(14)
+    dropped = 0
+    for k in range(100):
+        mutated = _mutated(rng, blocks)
+        valid = [lines for lines in mutated if _valid(lines, lexicon)]
+        gold = "\n\n".join(
+            "\n".join(f"{graph.sent_id}\t{t.form}\t{t.upos}\t{rng.choice('↑↓=')}"
+                      for t in graph.tokens)
+            for lines in valid
+            for graph in parse_conllu(lines)
+        )
+        gold = write(tmp_path, "gold", gold + "\n")
+        flags = ["--key-only"] if k % 2 else ["--jobs", "2"]
+        text = "\n\n".join("\n".join(lines) for lines in mutated) + "\n"
+        lenient = run_cli(["eval", "--lenient", *flags, "--gold", gold, write(tmp_path, "all", text)])
+        text = "\n\n".join("\n".join(lines) for lines in valid) + "\n"
+        strict = run_cli(["eval", *flags, "--gold", gold, write(tmp_path, "valid", text)])
+        assert strict[0] == lenient[0] == 0 and strict[2] == "", (k, strict)
+        assert lenient[1] == strict[1], k
+        skips = lenient[2].splitlines()
+        assert len(skips) == len(mutated) - len(valid), (k, skips)
+        assert all(line.startswith("skipping sentence: ") for line in skips)
+        dropped += len(skips)
+    assert 100 < dropped < 750, dropped  # most files hold valid and invalid sentences
 
 
 def test_byte_order_mark_is_dropped(tmp_path, monkeypatch):
