@@ -9,7 +9,7 @@ hierarchy: the smaller a relation's level-id, the earlier it is composed and
 the closer to the root it ends up.
 """
 
-from .conllu import Token, _refusal, graph_root
+from .conllu import Token, graph_root
 from .lexicon import bundled_rows, read_rows
 from .polarity import Polarity, push
 
@@ -181,41 +181,33 @@ def binarize(graph, hierarchy=None):
     highest-priority dependent is split off as the left child and the head
     with its remaining dependents is composed as the right child. An
     advcl/advmod of the root whose subtree holds the first token takes its
-    sentence-level label (advcl-sent/advmod-sent). A graph that is not a
-    tree (one built without parse_conllu) is refused with the
-    ValidationError the parser gives.
+    sentence-level label (advcl-sent/advmod-sent).
     """
     if hierarchy is None:
         hierarchy = RelationHierarchy.default()
     root = graph_root(graph)
     children = graph._children
-    order = graph.order
-    if len(order) != len(graph.tokens):
-        raise _refusal(graph)
     # composing the breadth-first order backwards builds every dependent's
     # subtree before its head's spine needs it
     built = {}
-    try:
-        for token in reversed(order):
-            node = BinaryDepTree(token)
-            kids = children.get(token.id)
-            if kids is not None:
-                deps = []
-                for child in kids:
-                    label = child.deprel
-                    if label == "conj":
-                        label = refine_relation(label, token, child, graph)
-                    elif (token is root and label in ("advcl", "advmod")
-                          and built[child.id].min_id == 1):
-                        label += "-sent"
-                    deps.append((label, child))
-                if len(deps) > 1:
-                    deps = sort_children(deps, hierarchy)
-                for label, child in reversed(deps):
-                    node = BinaryDepTree(label, built.pop(child.id), node)
-            built[token.id] = node
-    except KeyError:  # a repeated id: another token's subtree took this one
-        raise _refusal(graph) from None
+    for token in reversed(graph.order):
+        node = BinaryDepTree(token)
+        kids = children.get(token.id)
+        if kids is not None:
+            deps = []
+            for child in kids:
+                label = child.deprel
+                if label == "conj":
+                    label = refine_relation(label, token, child, graph)
+                elif (token is root and label in ("advcl", "advmod")
+                      and built[child.id].min_id == 1):
+                    label += "-sent"
+                deps.append((label, child))
+            if len(deps) > 1:
+                deps = sort_children(deps, hierarchy)
+            for label, child in reversed(deps):
+                node = BinaryDepTree(label, built.pop(child.id), node)
+        built[token.id] = node
     return built[root.id]
 
 

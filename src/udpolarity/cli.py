@@ -184,6 +184,8 @@ def _annotate_inputs(args, fmt, err):
     ConlluError or MarkError or, with --lenient, is reported and skipped.
     """
     if not args.paths:  # the bytes of the process's stdin, or a text stream
+        if sys.stdin is None:  # file descriptor 0 was closed before start-up
+            raise OSError("<stdin> is closed")
         texts = [("<stdin>", read_text(getattr(sys.stdin, "buffer", sys.stdin), "<stdin>"))]
     else:
         texts = [(path, read_text(path)) for path in args.paths]
@@ -327,6 +329,9 @@ def main(argv=None, out=None, err=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_ERROR if exc.code else EXIT_OK
+    if out is None:  # sys.stdout is None: file descriptor 1 was closed before start-up
+        print("error: <stdout> is closed", file=err)
+        return EXIT_ERROR
     try:
         code = args.func(args, out, err)
         out.flush()

@@ -27,7 +27,8 @@ _tuple_new = tuple.__new__  # builds a Token in C, not in its Python __new__
 
 
 class DependencyGraph:
-    """One parsed sentence: tokens plus the head/deprel edges they carry."""
+    """One sentence: tokens plus the head/deprel edges they carry. Tokens
+    that do not form a tree are a ValidationError naming the first fault."""
 
     def __init__(self, tokens, sentence_text="", sent_id=""):
         self.tokens = tokens
@@ -38,6 +39,14 @@ class DependencyGraph:
         children = self._children = {}
         for tok in sorted(tokens):
             children.setdefault(tok.head, []).append(tok)
+        # a tree has unique ids from 1 up to its size, one root and labels
+        # throughout, and the root reaches every token: a self-head, a
+        # dangling head or a cycle leaves some token out
+        n = len(tokens)
+        ids = {t.id for t in tokens}
+        if (len(ids) != n or len(children.get(0, ())) != 1 or min(ids) < 1 or max(ids) != n
+                or not all([t.deprel for t in tokens]) or len(self.order) != n):
+            raise ValidationError(f"sentence {sent_id or '?'}: {_fault(self)}")
 
     @cached_property
     def relations(self):
@@ -60,16 +69,7 @@ class DependencyGraph:
 
 def graph_root(graph):
     """Return the unique token whose head is 0."""
-    roots = graph._children.get(0)
-    if not roots:
-        raise ValidationError(f"sentence {graph.sent_id or '?'}: no root token")
-    return roots[0]
-
-
-def _refusal(graph):
-    """The ValidationError for a sentence that is not a tree, naming its
-    first fault."""
-    return ValidationError(f"sentence {graph.sent_id or '?'}: {_fault(graph)}")
+    return graph._children[0][0]
 
 
 def _fault(graph):
@@ -165,7 +165,6 @@ def _parse_block(lines, first_line, ordinal):
     is a multiword range or an empty node."""
     tokens = []
     comments = {}  # `# key = value` lines; the last of a key wins
-    unlabelled = False  # a token's deprel is "_" or empty
     for lineno, line in enumerate(lines, start=first_line):
         if line[0] == "#":
             key, sep, value = line[1:].partition("=")
@@ -188,9 +187,8 @@ def _parse_block(lines, first_line, ordinal):
             raise ConlluError(f"line {lineno}: non-integer head {head!r}") from None
         if head < 0:
             raise ConlluError(f"line {lineno}: negative head {head}")
-        if deprel == "_" or not deprel:
+        if deprel == "_":
             deprel = ""
-            unlabelled = True
         if lemma == "_":
             lemma = form.lower()
         tokens.append(_tuple_new(Token, (tid, form, lemma, upos, head, deprel)))
@@ -198,15 +196,7 @@ def _parse_block(lines, first_line, ordinal):
         return None
     sent_id = comments.get("sent_id") or str(ordinal)
     text = comments.get("text") or " ".join([t.form for t in tokens])
-    graph = DependencyGraph(tokens, text, sent_id)
-    # a tree has unique ids from 1 up to its size, one root and labels
-    # throughout, and the root reaches every token: a self-head, a dangling
-    # head or a cycle leaves some token out
-    ids = {t.id for t in tokens}
-    if (len(ids) != len(tokens) or len(graph._children.get(0, ())) != 1 or min(ids) < 1
-            or max(ids) != len(tokens) or unlabelled or len(graph.order) != len(tokens)):
-        raise _refusal(graph)
-    return graph
+    return DependencyGraph(tokens, text, sent_id)
 
 
 def parse_conllu(text, first_line=1, first_sentence=1):

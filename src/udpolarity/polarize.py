@@ -333,6 +333,7 @@ class _Run:
         self.phrases = None  # the sentence's _Phrases, once a determiner needs them
         self.suppressed = set()
         self.known = {}  # see apply_word_rule
+        self.heads = {}  # see head_leaf()
 
     def polarize(self, tree):
         if tree.left is not None and tree.left.mark is not None:
@@ -354,6 +355,17 @@ class _Run:
                     push(node)
                 stack += (node.right, node.left)
         return tree
+
+    def head_leaf(self, node):
+        """node.head_leaf(), kept in heads[] for `node`. A walk stops at a
+        node walked from before, so the complements of one head, which nest
+        down its spine, walk each node of it once."""
+        heads = self.heads
+        leaf = node
+        while leaf.left is not None:
+            leaf = heads.get(leaf) or leaf.right
+        heads[node] = leaf
+        return leaf
 
     def visit(self, node):
         """Run the rule of an internal node and, depth first, the rules of
@@ -405,7 +417,7 @@ def rule_argument(run, node):
     if node.left.left is not None:
         yield node.left
     if node.val in COMPLEMENT_RELATIONS:
-        verb = node.right.head_leaf().val
+        verb = run.head_leaf(node.right).val
         if is_downward_operator(verb.lemma or verb.form, run.lexicon):
             negate_subtree(node.left)
 

@@ -277,3 +277,20 @@ def test_10000_nested_determiners():
         tree = binarize(graph)
         polarize(tree)
         assert [mark for _tok, mark in project_to_tokens(tree, graph).tokens] == marks + [Polarity.UP]
+
+
+def wide_head(rel, n):
+    """CoNLL-U of `refused` with n dependents `dogs`, each attached by `rel`."""
+    rows = [(1, "refused", "refuse", "VERB", 0, "root")]
+    rows += [(i, "dogs", "dog", "NOUN", 1, rel) for i in range(2, n + 2)]
+    return workloads.conllu_block("wide", rows)
+
+
+def test_many_complements_of_one_head_read_linearly():
+    # the complements of one head nest down its spine, and each complement
+    # rule once walked the rest of that spine to find the verb: about
+    # n^2/2 steps
+    for rel in ("obj", "iobj", "xcomp", "ccomp"):
+        small = _lines_polarizing(wide_head(rel, 1000))
+        large = _lines_polarizing(wide_head(rel, 2000))
+        assert 0 < large <= 2.2 * small, (rel, small, large)

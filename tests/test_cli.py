@@ -769,6 +769,28 @@ def test_closed_pipe_exits_quietly(tmp_path):
     assert err == b""
 
 
+@pytest.mark.parametrize("args, redirect, stream", [
+    (["polarize"], "<&-", "<stdin>"),
+    (["eval", "--gold", str(DATA / "mini_gold.tsv")], "<&-", "<stdin>"),
+    (["polarize", str(DATA / "mini_corpus.conllu")], ">&-", "<stdout>"),
+    (["eval", "--gold", str(DATA / "mini_gold.tsv"), str(DATA / "mini_corpus.conllu")], ">&-",
+     "<stdout>"),
+], ids=["polarize-stdin", "eval-stdin", "polarize-stdout", "eval-stdout"])
+def test_closed_stream_is_an_error(args, redirect, stream):
+    # a stream closed before start-up, as `<&-` and `>&-` leave it, is None
+    # in sys; reading or writing it once ended in a traceback
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    child = subprocess.run(
+        ["sh", "-c", f'"$@" {redirect}', "sh", sys.executable, "-m", "udpolarity.cli", *args],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert b"Traceback" not in child.stderr
+    assert (child.returncode, child.stdout, child.stderr) == (
+        1, b"", f"error: {stream} is closed\n".encode())
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
 @pytest.mark.parametrize("command", [
     ["polarize", str(DATA / "mini_corpus.conllu")],

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from udpolarity import (
     ConlluError,
+    DependencyGraph,
+    Token,
     ValidationError,
     binarize,
     graph_root,
@@ -294,12 +296,18 @@ def test_validation_names_the_first_fault_of_each_sentence():
         rows = _with_faults(rng, workloads.random_rows(rng, rng.randint(1, 9)), rng.randint(1, 3))
         expected = reference_fault(rows)
         text = conllu_block(rows, sent_id="f")
+        # the same tokens built by hand, with "_" read as no deprel
+        tokens = [Token(*row[:5], "" if row[5] == "_" else row[5]) for row in rows]
         if expected is None:
             (graph,) = parse_conllu(text)
             assert sorted(graph.tokens) == sorted(rows)
+            DependencyGraph(tokens, sent_id="f")
             continue
         with pytest.raises(ValidationError) as info:
             parse_conllu(text)
+        assert str(info.value) == f"sentence f: {expected}", rows
+        with pytest.raises(ValidationError) as info:
+            DependencyGraph(tokens, sent_id="f")
         assert str(info.value) == f"sentence f: {expected}", rows
         faults.update(k for k, message in FAULT_MESSAGES.items() if message in expected)
     assert faults == set(FAULT_MESSAGES)  # each kind of fault came first somewhere
