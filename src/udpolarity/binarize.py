@@ -9,7 +9,7 @@ hierarchy: the smaller a relation's level-id, the earlier it is composed and
 the closer to the root it ends up.
 """
 
-from .conllu import Token, graph_root
+from .conllu import graph_root
 from .lexicon import bundled_rows, read_rows
 from .polarity import Polarity, push
 
@@ -59,10 +59,13 @@ class BinaryDepTree:
     `mark` holds the polarity and `pending` the polarity operator still
     to be applied to the node's descendants (see polarity.py); they are the
     only slots mutated after construction, everything else is fixed when
-    the tree is built. `min_id` is the smallest token id in the subtree.
+    the tree is built. `min_id` and `max_id` are the smallest and largest
+    token ids in the subtree, `size` its leaf count and `head` its head
+    leaf, which is its last leaf: heads sit on the right spine.
     """
 
-    __slots__ = ("val", "left", "right", "mark", "pending", "parent", "min_id", "_leaves")
+    __slots__ = ("val", "left", "right", "mark", "pending", "parent",
+                 "min_id", "max_id", "size", "head", "_leaves")
 
     def __init__(self, val, left=None, right=None):
         self.val = val
@@ -72,12 +75,15 @@ class BinaryDepTree:
         self.pending = None
         self.parent = None
         self._leaves = None
-        if left is None and right is None:
-            self.min_id = val.id if isinstance(val, Token) else 0
+        if left is None:  # a leaf: val is a Token
+            self.min_id = self.max_id = val.id
+            self.size, self.head = 1, self
         else:
             left.parent = self
             right.parent = self
             self.min_id = left.min_id if left.min_id < right.min_id else right.min_id
+            self.max_id = left.max_id if left.max_id > right.max_id else right.max_id
+            self.size, self.head = left.size + right.size, right.head
 
     @property
     def is_leaf(self):
@@ -133,11 +139,8 @@ class BinaryDepTree:
             yield node
 
     def head_leaf(self):
-        """The lexical head: follow the right spine down to its leaf."""
-        node = self
-        while not node.is_leaf:
-            node = node.right
-        return node
+        """The lexical head, the leaf at the foot of the right spine."""
+        return self.head
 
     def __repr__(self):
         if self.is_leaf:

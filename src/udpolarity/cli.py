@@ -12,7 +12,7 @@ pinned worker for each run after the first (see `_forked`), so a threaded
 host program should not call `main` with it.
 Exit codes: 0 success, 1 usage or I/O or parse failure, or output that
 could not be written (a closed pipe exits quietly), 2 gold alignment
-failure.
+failure; with stderr closed, its lines are dropped and the code stays.
 """
 
 import argparse
@@ -62,6 +62,14 @@ def _annotate(hierarchy, lexicon, fmt, block):
     except MarkError as exc:
         return MarkError(f"{where}sentence {graph.sent_id}: {exc}")
     return annotated.tokens if fmt is None else render(annotated, fmt)
+
+
+def _say(err, line):
+    """Print a diagnostic line to `err`; with stderr closed, drop it."""
+    try:
+        print(line, file=err)
+    except OSError:
+        pass
 
 
 def _split(blocks, jobs):
@@ -209,7 +217,7 @@ def _annotate_inputs(args, fmt, err):
             if isinstance(result, FAILURES):
                 if not args.lenient:
                     raise result
-                print(f"skipping sentence: {result}", file=err)
+                _say(err, f"skipping sentence: {result}")
             elif result is not None:
                 if fmt == "dot":  # number the graphs across files and skips
                     result = result.replace("sentence_0", f"sentence_{len(sentences)}", 1)
@@ -224,7 +232,7 @@ def cmd_polarize(args, out, err):
     try:
         rendered = _annotate_inputs(args, args.format, err)
     except (OSError, ConlluError, MarkError, LexiconError, ValueError) as exc:
-        print(f"error: {exc}", file=err)
+        _say(err, f"error: {exc}")
         return EXIT_ERROR
     for block in rendered:
         print(block, file=out)
@@ -239,10 +247,10 @@ def cmd_eval(args, out, err):
         gold = ev.load_gold(args.gold)
         pairs = ev.align(predicted, gold)
     except ev.AlignmentError as exc:
-        print(f"alignment error: {exc}", file=err)
+        _say(err, f"alignment error: {exc}")
         return EXIT_ALIGNMENT
     except (OSError, ConlluError, MarkError, LexiconError, ValueError) as exc:
-        print(f"error: {exc}", file=err)
+        _say(err, f"error: {exc}")
         return EXIT_ERROR
     if args.key_only:
         pairs = [
@@ -323,21 +331,22 @@ def main(argv=None, out=None, err=None):
         out = sys.stdout
         if isinstance(out, io.TextIOWrapper):
             out.reconfigure(encoding="utf-8")
-    err = err if err is not None else sys.stderr
+    # sys.stderr is None when fd 2 was closed before start-up; print() to None writes to stdout
+    err = err if err is not None else sys.stderr or io.StringIO()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_ERROR if exc.code else EXIT_OK
     if out is None:  # sys.stdout is None: file descriptor 1 was closed before start-up
-        print("error: <stdout> is closed", file=err)
+        _say(err, "error: <stdout> is closed")
         return EXIT_ERROR
     try:
         code = args.func(args, out, err)
         out.flush()
     except OSError as exc:  # writing the output failed
         if not isinstance(exc, BrokenPipeError):  # a closed pipe is no error
-            print(f"error: {exc}", file=err)
+            _say(err, f"error: {exc}")
         if out is sys.stdout:  # drop what is left, or the flush at exit fails
             os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())  # Python's SIGPIPE recipe
         return EXIT_ERROR

@@ -28,16 +28,15 @@ polarizer keeps the rules in progress on an explicit stack, so tree depth
 is bounded by memory, not by the interpreter's recursion limit.
 
 A determiner finds its quantifier phrase through _Phrases, built on the
-sentence's first determiner. A sentence's ids run 1..n (conllu refuses
-any other), so _Phrases reads tokens from a list indexed by id, and the
-scans of all of a sentence's determiners together take time linear in
-the sentence, however the determiners nest. The one exception is a nest
-whose dependents are not projective: a dependent whose ids span k words
-that start a phrase but are not its own costs up to k steps to pass them.
+sentence's first determiner: tokens by id (ids run 1..n; conllu refuses
+any other) and a dependent of several words by its leaf run. The scans
+of all of a sentence's determiners together take time linear in the
+sentence, however they nest, except in a nest whose dependents are not
+projective: a dependent whose ids span k words that start a phrase but
+are not its own costs up to k steps to pass them.
 """
 
 from collections import namedtuple
-from itertools import chain
 
 from .lexicon import NUM_WILDCARD, is_downward_operator, load_lexicon
 from .polarity import (
@@ -63,9 +62,6 @@ ADVERBIAL_RELATIONS = {"advmod", "advmod-sent", "case"}
 _PHRASE_STOP_UPOS = {"NOUN", "PROPN", "VERB", "AUX", "PUNCT"}
 _GAP_STOP_UPOS = _PHRASE_STOP_UPOS | {"ADJ"}
 _PHRASE_SCAN_LIMIT = 6
-# words of dependents a sentence's determiners read whole, per token of the
-# sentence, before they read dependents by their leaf runs (see _Phrases)
-_LOCAL_READS = 2
 
 
 # tokens: (Token, Polarity | None) pairs, None for an unscored token (punct);
@@ -74,30 +70,14 @@ AnnotatedSentence = namedtuple("AnnotatedSentence", "tokens tree")
 AnnotatedSentence.__doc__ = "Token-level marks plus the fully marked tree behind them."
 
 
-def _leaf_ids(node, limit):
-    """The token ids of a subtree's leaves, or None past `limit` of them."""
-    out = []
-    stack = [node]
-    while stack:
-        item = stack.pop()
-        if item.left is None:
-            out.append(item.val.id)
-            if len(out) > limit:
-                return None
-        else:
-            stack += (item.left, item.right)
-    return out
-
-
 class _Phrases:
     """What a sentence's determiners read their quantifier phrases from,
     built on the sentence's first determiner: its tokens in a list indexed
     by id, and what its scans found so far, so that together they take
     time linear in the sentence (but see the module's docstring). A
-    dependent of several words is read whole while the sentence's budget
-    of _LOCAL_READS words per token lasts, and past it by its run of the
-    tree's leaves: every subtree's leaves form one run, so a token is in
-    a subtree iff its leaf position lies in the subtree's run.
+    dependent of several words is read by its leaf run: a subtree's leaves
+    form one run of `size` leaves ending at its `head`, so a token is in
+    the subtree iff its leaf position lies in that run.
     """
 
     def __init__(self, tree, lexicon):
@@ -110,12 +90,10 @@ class _Phrases:
             if not 0 < i <= n or toks[i] is not None:
                 raise MarkError(f"token id {i}: the ids of a sentence must run 1..{n}")
             toks[i] = leaf.val
-        self.budget = _LOCAL_READS * n
         self.matches = {}  # id -> [(length, profile)] of the phrases it starts, longest first
         self.floors = [0, 0] + [None] * (n - 1)  # see _floor()
         self.unsuppressed = list(range(n + 2))  # see suppress()
-        self.at = self.live = None  # see _extent() and _anchors()
-        self.extents = {}  # node -> (first leaf position, last leaf position, largest id)
+        self.at = self.live = None  # id -> leaf position, and see _anchors()
 
     def scan(self, det_node):
         """The quantifier phrase governing a det/nummod node, as (profile,
@@ -144,21 +122,19 @@ class _Phrases:
         floor = self._floor(head)
         start = max(start, floor - self.lexicon.max_phrase_len + 1)
         # the candidates: every id from `start` to `first`, then the
-        # dependent's ids after it (`start` may lie past `first`); a
-        # dependent of several words is read whole while the budget lasts,
-        # else by its leaf run
-        members = None if dep.left is None else _leaf_ids(dep, self.budget)
+        # dependent's ids after it (`start` may lie past `first`)
         if dep.left is None:
             anchors, inside = range(start, first + 1), {first}.__contains__
-        elif members is not None:
-            self.budget -= len(members)
-            members.sort()
-            anchors, inside = chain(range(start, first), members), set(members).__contains__
         else:
-            self.budget = 0
-            lo, hi, top = self._extent(dep)
             at = self.at
-            anchors, inside = self._anchors(start, top), lambda i: lo <= at[i] <= hi  # noqa: E731
+            if at is None:
+                self.at = at = [0] * len(toks)
+                for p, leaf in enumerate(self.leaves):
+                    at[leaf.val.id] = p
+                self.live = list(range(len(toks) + 1))
+            hi = at[dep.head.val.id]
+            lo = hi - dep.size + 1
+            anchors, inside = self._anchors(start, dep.max_id), lambda i: lo <= at[i] <= hi  # noqa: E731
         matches = self.matches
         for a in anchors:
             if a < start or a > first and not inside(a):
@@ -226,32 +202,6 @@ class _Phrases:
             while i != after:
                 live[i], i = after, live[i]
 
-    def _extent(self, node):
-        """(first leaf position, last leaf position, largest token id) of a
-        subtree; no node is walked twice in a sentence."""
-        if self.at is None:
-            self.at = at = [0] * len(self.toks)
-            for p, leaf in enumerate(self.leaves):
-                at[leaf.val.id] = p
-            self.live = list(range(len(self.toks) + 1))
-        extents, at = self.extents, self.at
-        stack = [node]
-        while stack:
-            item = stack[-1]
-            if item in extents:
-                stack.pop()
-            elif item.left is None:
-                p = at[item.val.id]
-                extents[stack.pop()] = p, p, item.val.id
-            elif item.left not in extents:
-                stack.append(item.left)
-            elif item.right not in extents:
-                stack.append(item.right)
-            else:
-                (lo, _, left_top), (_, hi, right_top) = extents[item.left], extents[item.right]
-                extents[stack.pop()] = lo, hi, max(left_top, right_top)
-        return extents[node]
-
     def suppress(self, first, last, suppressed):
         """Add the ids from `first` to `last` to `suppressed`, each at most
         once a sentence: unsuppressed[i] is i when id i is not added yet,
@@ -317,7 +267,7 @@ def apply_word_rule(node, lexicon, suppressed=frozenset(), known=None):
             negate_subtree(parent.right)
             return True
     if label == "mark":
-        head = node.head_leaf().val
+        head = node.head.val
         if lexicon.is_conditional(head.form) or lexicon.is_conditional(head.lemma):
             negate_subtree(parent.right)
             return True
@@ -333,7 +283,6 @@ class _Run:
         self.phrases = None  # the sentence's _Phrases, once a determiner needs them
         self.suppressed = set()
         self.known = {}  # see apply_word_rule
-        self.heads = {}  # see head_leaf()
 
     def polarize(self, tree):
         if tree.left is not None and tree.left.mark is not None:
@@ -355,17 +304,6 @@ class _Run:
                     push(node)
                 stack += (node.right, node.left)
         return tree
-
-    def head_leaf(self, node):
-        """node.head_leaf(), kept in heads[] for `node`. A walk stops at a
-        node walked from before, so the complements of one head, which nest
-        down its spine, walk each node of it once."""
-        heads = self.heads
-        leaf = node
-        while leaf.left is not None:
-            leaf = heads.get(leaf) or leaf.right
-        heads[node] = leaf
-        return leaf
 
     def visit(self, node):
         """Run the rule of an internal node and, depth first, the rules of
@@ -417,7 +355,7 @@ def rule_argument(run, node):
     if node.left.left is not None:
         yield node.left
     if node.val in COMPLEMENT_RELATIONS:
-        verb = run.head_leaf(node.right).val
+        verb = node.right.head.val
         if is_downward_operator(verb.lemma or verb.form, run.lexicon):
             negate_subtree(node.left)
 
@@ -458,7 +396,7 @@ def rule_determiner(run, node):
         run.phrases.suppress(first, last, run.suppressed)
         node.right.mark = profile.first_arg
         outside = profile.second_arg
-    elif node.val == "nummod" and node.left.head_leaf().val.upos == "NUM":
+    elif node.val == "nummod" and node.left.head.val.upos == "NUM":
         node.left.mark = node.mark.flipped()
         node.right.mark = node.mark
     else:

@@ -1,6 +1,7 @@
 import hashlib
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -15,7 +16,7 @@ from udpolarity import (
 )
 from udpolarity.binarize import BinaryDepTree
 
-from .conftest import ALL_DOGS_EAT_APPLES, NO_STUDENT_REFUSED, graph_of
+from .conftest import ALL_DOGS_EAT_APPLES, NO_STUDENT_REFUSED, graph_of, random_graph
 
 
 def leaf(form, tid, upos="NOUN"):
@@ -210,6 +211,34 @@ def test_modifiers_left_heads_right():
     # the right spine from any internal node ends at that constituent's head
     assert tree.head_leaf().val.form == "eat"
     assert tree.left.head_leaf().val.form == "dogs"
+
+
+def test_subtree_slots_agree_with_walks():
+    # min_id, max_id, size and head are filled bottom-up as a tree is
+    # built; each must be what a walk of the finished subtree reads, and
+    # a subtree's leaves must be the run of the root's leaves ending at
+    # its head
+    rng = random.Random(16)
+    trees = [binarize(random_graph(rng, rng.randint(1, 40))) for _ in range(300)]
+    trees += [
+        leaf("dogs", 1),
+        BinaryDepTree("det", leaf("the", 1), BinaryDepTree("amod", leaf("old", 2), leaf("dogs", 3))),
+        BinaryDepTree("obj", BinaryDepTree("det", leaf("the", 4), leaf("food", 2)),
+                      BinaryDepTree("nsubj", leaf("dogs", 3), leaf("eat", 1))),
+    ]
+    for tree in trees:
+        leaves = tree.leaves()
+        at = {item.val.id: p for p, item in enumerate(leaves)}
+        for node in tree.nodes():
+            spine = node
+            while spine.left is not None:
+                spine = spine.right
+            ids = [item.val.id for item in node.leaves()]
+            assert node.head_leaf() is node.head is spine
+            assert node.size == len(ids)
+            assert (node.min_id, node.max_id) == (min(ids), max(ids))
+            end = at[node.head.val.id] + 1
+            assert leaves[end - node.size:end] == node.leaves()
 
 
 def test_leaf_count_and_token_coverage(mini_corpus):

@@ -779,16 +779,54 @@ def test_closed_pipe_exits_quietly(tmp_path):
 def test_closed_stream_is_an_error(args, redirect, stream):
     # a stream closed before start-up, as `<&-` and `>&-` leave it, is None
     # in sys; reading or writing it once ended in a traceback
+    child = _cli_sh(args, redirect)
+    assert b"Traceback" not in child.stderr
+    assert (child.returncode, child.stdout, child.stderr) == (
+        1, b"", f"error: {stream} is closed\n".encode())
+
+
+def _cli_sh(args, redirect):
+    """The CLI run through `sh -c` with `redirect` applied to it."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    child = subprocess.run(
+    return subprocess.run(
         ["sh", "-c", f'"$@" {redirect}', "sh", sys.executable, "-m", "udpolarity.cli", *args],
         capture_output=True,
         env={**os.environ, "PYTHONPATH": str(src)},
         timeout=60,
     )
-    assert b"Traceback" not in child.stderr
-    assert (child.returncode, child.stdout, child.stderr) == (
-        1, b"", f"error: {stream} is closed\n".encode())
+
+
+@pytest.mark.parametrize("lenient", [True, False], ids=["lenient", "strict"])
+def test_closed_stderr_drops_diagnostics_and_keeps_the_exit_code(tmp_path, lenient):
+    # a skip or error line written to a closed stderr once raised, so a
+    # lenient run that skipped a sentence exited 1 and printed nothing
+    bad = write(tmp_path, "bad.conllu", "1\tonly\tthree\n")
+    args = ["polarize", *(["--lenient"] if lenient else []), bad, str(DATA / "mini_corpus.conllu")]
+    opened, closed = _cli_sh(args, ""), _cli_sh(args, "2>&-")
+    assert closed.stderr == b""
+    if lenient:
+        assert opened.returncode == 0 and opened.stdout.count(b"\n") == 10
+        assert (closed.returncode, closed.stdout) == (0, opened.stdout)
+    else:
+        assert (closed.returncode, closed.stdout) == (1, b"")
+
+
+class _DeadStream(io.StringIO):
+    def write(self, text):
+        raise OSError(9, "Bad file descriptor")
+
+
+@pytest.mark.parametrize("stderr", [None, _DeadStream()], ids=["none", "dead"])
+def test_stderr_closed_in_process_drops_diagnostics(tmp_path, monkeypatch, stderr):
+    # where stderr was closed before start-up, sys.stderr is None, and a
+    # print() to None writes to stdout; where it is a stream whose file
+    # descriptor was closed, writing it raises
+    text = "1\tonly\tthree\n\n" + FIG1
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert main(["polarize", "--lenient", write(tmp_path, "mixed.conllu", text)]) == 0
+    assert out.getvalue() == "All↑ dogs↓ eat↑ food↑\n"
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")

@@ -640,19 +640,15 @@ def scan_graph(rng):
     return graph
 
 
-def test_phrase_scan_matches_reference_on_random_trees(tmp_path, monkeypatch):
+def test_phrase_scan_matches_reference_on_random_trees(tmp_path):
     extra = tmp_path / "extra.tsv"
     extra.write_text(EXTRA_QUANTIFIERS, encoding="utf-8")
     lexicons = [load_lexicon(), load_lexicon(quantifier_paths=[extra])]
     hierarchy = RelationHierarchy.default()
-    polarize_module = sys.modules["udpolarity.polarize"]
     rng = random.Random(11)
     scans = found = 0
     for k in range(20_000):
         lexicon = lexicons[k % 2]
-        # one tree in two reads only tables, the others tokens one by one
-        # until the budget runs out
-        monkeypatch.setattr(polarize_module, "_LOCAL_READS", (2, 1, 0, 0)[k % 4])
         tree = binarize(scan_graph(rng), hierarchy)
         tokens_by_id = {leaf.val.id: leaf.val for leaf in tree.leaves()}
         phrases = _Phrases(tree, lexicon)
