@@ -138,10 +138,6 @@ class BinaryDepTree:
                 stack.append(node.left)
             yield node
 
-    def head_leaf(self):
-        """The lexical head, the leaf at the foot of the right spine."""
-        return self.head
-
     def __repr__(self):
         if self.is_leaf:
             return f"<leaf {self.val.form!r}>"

@@ -77,7 +77,7 @@ class Lexicon:
         return max(map(len, self.negation_words), default=0)
 
     def is_negation_phrase(self, words):
-        return tuple(w.lower() for w in words) in self.negation_words
+        return tuple([w.lower() for w in words]) in self.negation_words
 
     def is_conditional(self, word):
         return word.lower() in self.conditional_words

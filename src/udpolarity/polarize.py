@@ -29,11 +29,12 @@ is bounded by memory, not by the interpreter's recursion limit.
 
 A determiner finds its quantifier phrase through _Phrases, built on the
 sentence's first determiner: tokens by id (ids run 1..n; conllu refuses
-any other) and a dependent of several words by its leaf run. The scans
-of all of a sentence's determiners together take time linear in the
-sentence, however they nest, except in a nest whose dependents are not
-projective: a dependent whose ids span k words that start a phrase but
-are not its own costs up to k steps to pass them.
+any other) and a dependent by its leaf run. The scans of all of a
+sentence's determiners together take time linear in the sentence,
+however they nest, except in a nest whose dependents are not projective:
+a dependent whose ids span k words that start a phrase but are not its
+own costs up to k steps to pass them. The word rules ask _Phrases whether
+the phrases cover their dependent, one pointer jump over its leaf run.
 """
 
 from collections import namedtuple
@@ -70,30 +71,48 @@ AnnotatedSentence = namedtuple("AnnotatedSentence", "tokens tree")
 AnnotatedSentence.__doc__ = "Token-level marks plus the fully marked tree behind them."
 
 
+def _next(skip, i):
+    """The first j >= i with skip[j] == j. skip[i] is i, or a later index
+    up to which (not included) every index is passed; each index passed
+    on the way is pointed at j."""
+    j = i
+    while skip[j] != j:
+        j = skip[j]
+    while i != j:
+        skip[i], i = j, skip[i]
+    return j
+
+
 class _Phrases:
     """What a sentence's determiners read their quantifier phrases from,
-    built on the sentence's first determiner: its tokens in a list indexed
-    by id, and what its scans found so far, so that together they take
-    time linear in the sentence (but see the module's docstring). A
-    dependent of several words is read by its leaf run: a subtree's leaves
+    built on the sentence's first determiner: its tokens and their leaf
+    positions in lists indexed by id, and what its scans found so far, so
+    that together they take time linear in the sentence (but see the
+    module's docstring). A subtree is read by its leaf run: its leaves
     form one run of `size` leaves ending at its `head`, so a token is in
-    the subtree iff its leaf position lies in that run.
+    the subtree iff its leaf position lies in that run. The ids that the
+    phrases found so far cover make the cover, kept by id and by leaf
+    position.
     """
 
     def __init__(self, tree, lexicon):
         self.lexicon = lexicon
-        self.leaves = tree.leaves()
-        n = len(self.leaves)
+        leaves = tree.leaves()
+        n = len(leaves)
         self.toks = toks = [None] * (n + 1)  # id -> token
-        for leaf in self.leaves:
+        self.at = at = [0] * (n + 1)  # id -> leaf position
+        for p, leaf in enumerate(leaves):
             i = leaf.val.id
             if not 0 < i <= n or toks[i] is not None:
                 raise MarkError(f"token id {i}: the ids of a sentence must run 1..{n}")
             toks[i] = leaf.val
+            at[i] = p
         self.matches = {}  # id -> [(length, profile)] of the phrases it starts, longest first
         self.floors = [0, 0] + [None] * (n - 1)  # see _floor()
-        self.unsuppressed = list(range(n + 2))  # see suppress()
-        self.at = self.live = None  # id -> leaf position, and see _anchors()
+        # skip lists for _next(): ids that may start a phrase, and the ids
+        # and leaf positions the cover leaves out
+        self.live = list(range(n + 2))
+        self.uncovered, self.open = self.live[:], self.live[:]
 
     def scan(self, det_node):
         """The quantifier phrase governing a det/nummod node, as (profile,
@@ -108,7 +127,7 @@ class _Phrases:
         the span and the governed head. The phrase covers its span and
         that material.
         """
-        toks = self.toks
+        toks, at = self.toks, self.at
         dep = det_node.left
         first = dep.min_id
         start = first
@@ -122,31 +141,18 @@ class _Phrases:
         floor = self._floor(head)
         start = max(start, floor - self.lexicon.max_phrase_len + 1)
         # the candidates: every id from `start` to `first`, then the
-        # dependent's ids after it (`start` may lie past `first`)
-        if dep.left is None:
-            anchors, inside = range(start, first + 1), {first}.__contains__
-        else:
-            at = self.at
-            if at is None:
-                self.at = at = [0] * len(toks)
-                for p, leaf in enumerate(self.leaves):
-                    at[leaf.val.id] = p
-                self.live = list(range(len(toks) + 1))
-            hi = at[dep.head.val.id]
-            lo = hi - dep.size + 1
-            anchors, inside = self._anchors(start, dep.max_id), lambda i: lo <= at[i] <= hi  # noqa: E731
-        matches = self.matches
-        for a in anchors:
-            if a < start or a > first and not inside(a):
+        # dependent's ids after it (`start` may lie past `first`), which
+        # are those whose leaf position lies in its run lo..hi
+        hi = at[dep.head.val.id]
+        lo = hi - dep.size + 1
+        for a in self._anchors(start, dep.max_id):
+            if a > first and not lo <= at[a] <= hi:
                 continue
-            found = matches.get(a)
-            if found is None:
-                found = matches[a] = self._matches(a)
-            for length, profile in found:
+            for length, profile in self.matches[a]:
                 end = a + length - 1
                 if end < floor:
                     break
-                if end <= first or all(map(inside, range(max(a, first) + 1, end + 1))):
+                if end <= first or all(lo <= at[i] <= hi for i in range(max(a, first) + 1, end + 1)):
                     return profile, a, end if end >= head else head - 1
         return None
 
@@ -180,98 +186,62 @@ class _Phrases:
         return floors[head]
 
     def _anchors(self, start, top):
-        """Every id from `start` to `top` that may start a phrase, in
-        order. live[i] is i, or a later id when every id from i up to it
-        (not included) is found to start no phrase."""
-        live, matches, i = self.live, self.matches, start
+        """Every id from `start` to `top` that starts a phrase, in order,
+        with its matches found."""
+        live, matches = self.live, self.matches
+        i = _next(live, start)
         while i <= top:
-            if live[i] == i:
-                found = matches.get(i)
-                if found is None:
-                    found = matches[i] = self._matches(i)
-                if found:
-                    yield i
-                    i += 1
-                    continue
+            found = matches.get(i)
+            if found is None:
+                found = matches[i] = self._matches(i)
+            if found:
+                yield i
+            else:
                 live[i] = i + 1
-            # jump to the end of a run of ids that start no phrase, and
-            # point each id on the way there to it
-            after = live[i]
-            while live[after] != after:
-                after = live[after]
-            while i != after:
-                live[i], i = after, live[i]
+            i = _next(live, i + 1)
 
-    def suppress(self, first, last, suppressed):
-        """Add the ids from `first` to `last` to `suppressed`, each at most
-        once a sentence: unsuppressed[i] is i when id i is not added yet,
-        else a later id up to which (not included) every id is added."""
-        skip, i, end = self.unsuppressed, first, last + 1
-        while i < end:
-            after = skip[i]
-            if after == i:
-                suppressed.add(i)
-                after = i + 1
-            # all of first..last is added by the time this call returns
-            skip[i] = after if after > end else end
-            i = after
+    def suppress(self, first, last):
+        """Add the ids from `first` to `last` to the cover, each at most
+        once a sentence, and their leaf positions."""
+        uncovered, open_, at = self.uncovered, self.open, self.at
+        i = _next(uncovered, first)
+        while i <= last:
+            uncovered[i] = i + 1
+            open_[at[i]] = at[i] + 1
+            i = _next(uncovered, i + 1)
+
+    def covers(self, node):
+        """Whether the cover holds every word of the subtree `node`."""
+        last = self.at[node.head.val.id]
+        return _next(self.open, last - node.size + 1) > last
 
 
-def apply_word_rule(node, lexicon, suppressed=frozenset(), known=None):
+def apply_word_rule(node, lexicon, phrases=None):
     """Word-level rule hook for the dependent side of a relation node.
 
     Negation operators under an adverbial-modifier or case relation negate
     the sibling constituent; a conditional marker under `mark` negates the
-    clause it introduces (the antecedent). Returns True when a rule fired.
-
-    `known`, when given, maps dependents of more leaves than the longest
-    negation phrase to (leaves counted, a leaf not in `suppressed`, or None
-    when every leaf is). The walk adds `node` when it is one, and passes
-    such a node without reading it again while that leaf stays out of
-    `suppressed`; `suppressed` only grows, so an entry with None stays true.
+    clause it introduces (the antecedent). Neither fires on a dependent
+    whose every word a quantifier phrase covers, as `phrases`, the
+    sentence's _Phrases when it has any, tells. Returns True when a rule
+    fired.
     """
     parent = node.parent
     if parent is None or node is not parent.left:
         return False
-    # Stop one leaf past the longest negation phrase, once a leaf is not
-    # suppressed. Right children first reach a leaf without walking down a
-    # dependent nested on the left.
-    longest = lexicon.longest_negation
-    tokens = []
-    count = 0  # leaves read or passed
-    loud = None  # a leaf not in suppressed
-    stack = [node]
-    while stack and (loud is None or count <= longest):
-        item = stack.pop()
-        if item.left is None:
-            tokens.append(item.val)
-            count += 1
-            if loud is None and item.val.id not in suppressed:
-                loud = item
-            continue
-        entry = known.get(item) if known else None
-        if entry is not None and (entry[1] is None or entry[1].val.id not in suppressed):
-            count += entry[0]
-            if loud is None:
-                loud = entry[1]
-        else:
-            stack += (item.left, item.right)
-    if known is not None and count > longest:
-        known[node] = (count, loud)
-    if loud is None:
-        return False
     label = parent.val
-    if label in ADVERBIAL_RELATIONS and count <= longest:
-        tokens.sort(key=lambda t: t.id)
-        if lexicon.is_negation_phrase([t.form for t in tokens]):
-            negate_subtree(parent.right)
-            return True
-    if label == "mark":
+    if label in ADVERBIAL_RELATIONS:
+        fires = node.size <= lexicon.longest_negation and lexicon.is_negation_phrase(
+            [leaf.val.form for leaf in sorted(node.leaves(), key=lambda leaf: leaf.val.id)])
+    elif label == "mark":
         head = node.head.val
-        if lexicon.is_conditional(head.form) or lexicon.is_conditional(head.lemma):
-            negate_subtree(parent.right)
-            return True
-    return False
+        fires = lexicon.is_conditional(head.form) or lexicon.is_conditional(head.lemma)
+    else:
+        return False
+    if not fires or phrases is not None and phrases.covers(node):
+        return False
+    negate_subtree(parent.right)
+    return True
 
 
 class _Run:
@@ -281,8 +251,6 @@ class _Run:
         self.lexicon = lexicon
         self.tree = None
         self.phrases = None  # the sentence's _Phrases, once a determiner needs them
-        self.suppressed = set()
-        self.known = {}  # see apply_word_rule
 
     def polarize(self, tree):
         if tree.left is not None and tree.left.mark is not None:
@@ -383,8 +351,9 @@ def rule_determiner(run, node):
     quantifier reads as "at least n": the numeral flips against its
     context. Anything else defaults to an existential profile.
 
-    The phrase comes from the sentence's _Phrases. The ids it covers are
-    suppressed for the word rules of advmod/case/mark.
+    The phrase comes from the sentence's _Phrases, and the ids it covers
+    join the sentence's phrase cover: the word rules of advmod/case/mark
+    do not fire on a dependent the cover holds whole.
     """
     node.left.mark = node.mark
     outside = _UP  # the operator on the clause outside the phrase
@@ -393,7 +362,7 @@ def rule_determiner(run, node):
     found = run.phrases.scan(node)
     if found is not None:
         profile, first, last = found
-        run.phrases.suppress(first, last, run.suppressed)
+        run.phrases.suppress(first, last)
         node.right.mark = profile.first_arg
         outside = profile.second_arg
     elif node.val == "nummod" and node.left.head.val.upos == "NUM":
@@ -421,7 +390,7 @@ def rule_adverbial(run, node):
         yield node.right
     if node.left.left is not None:
         yield node.left
-    if apply_word_rule(node.left, run.lexicon, run.suppressed, run.known):
+    if apply_word_rule(node.left, run.lexicon, run.phrases):
         return
     if node.left.mark is not base:
         _react(node.left, node.right)
@@ -434,7 +403,7 @@ def rule_mark(run, node):
         yield node.right
     if node.left.left is not None:
         yield node.left
-    apply_word_rule(node.left, run.lexicon, run.suppressed, run.known)
+    apply_word_rule(node.left, run.lexicon, run.phrases)
 
 
 # relation label -> rule; every other label takes rule_default

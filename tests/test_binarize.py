@@ -209,8 +209,8 @@ for rows in (
 def test_modifiers_left_heads_right():
     tree = binarize(graph_of(ALL_DOGS_EAT_APPLES))
     # the right spine from any internal node ends at that constituent's head
-    assert tree.head_leaf().val.form == "eat"
-    assert tree.left.head_leaf().val.form == "dogs"
+    assert tree.head.val.form == "eat"
+    assert tree.left.head.val.form == "dogs"
 
 
 def test_subtree_slots_agree_with_walks():
@@ -234,7 +234,7 @@ def test_subtree_slots_agree_with_walks():
             while spine.left is not None:
                 spine = spine.right
             ids = [item.val.id for item in node.leaves()]
-            assert node.head_leaf() is node.head is spine
+            assert node.head is spine
             assert node.size == len(ids)
             assert (node.min_id, node.max_id) == (min(ids), max(ids))
             end = at[node.head.val.id] + 1

@@ -136,7 +136,7 @@ def test_premarked_root_inherits_down():
     polarize(tree)
     # the obj side inherits the antitone context wholesale
     assert tree.right.mark is DOWN
-    assert tree.right.head_leaf().mark is DOWN  # eat
+    assert tree.right.head.mark is DOWN  # eat
 
 
 # ---------------------------------------------------------------- clause mods
@@ -652,7 +652,7 @@ def test_phrase_scan_matches_reference_on_random_trees(tmp_path):
         tree = binarize(scan_graph(rng), hierarchy)
         tokens_by_id = {leaf.val.id: leaf.val for leaf in tree.leaves()}
         phrases = _Phrases(tree, lexicon)
-        suppressed, covered = set(), set()
+        covered = set()
         for node in tree.nodes():
             if node.val in DETERMINER_RELATIONS:
                 result = phrases.scan(node)
@@ -661,11 +661,16 @@ def test_phrase_scan_matches_reference_on_random_trees(tmp_path):
                 expected = reference_scan(node, lexicon, tokens_by_id)
                 assert got == expected, to_sexpression(tree)
                 if result is not None:
-                    phrases.suppress(result[1], result[2], suppressed)
+                    phrases.suppress(result[1], result[2])
                 covered |= expected[1]
                 scans += 1
                 found += result is not None
-        assert suppressed == covered
+        # the cover, by id and by leaf position, and what covers() reads
+        assert cover_of(phrases) == covered
+        leaves = tree.leaves()
+        assert {leaves[p].val.id for p, q in enumerate(phrases.open) if p != q} == covered
+        for node in tree.nodes():
+            assert phrases.covers(node) == ({leaf.val.id for leaf in node.leaves()} <= covered)
     assert scans > 20_000 and 0.2 < found / scans < 0.8, (scans, found)
 
 
@@ -701,10 +706,16 @@ def test_hand_built_ids_that_are_not_1_to_n_are_a_mark_error(lexicon, ids):
         polarize(BinaryDepTree("det", the, dogs), lexicon)
 
 
+def cover_of(phrases):
+    """The ids a sentence's quantifier phrases cover so far."""
+    return set() if phrases is None else {i for i, j in enumerate(phrases.uncovered) if i != j}
+
+
 def reference_word_rule(node, lexicon, suppressed=frozenset(), negate=None):
     """apply_word_rule as it was before it passed subtrees known to be
     suppressed: it reads the whole dependent while every leaf it has read
-    is suppressed. `negate` stands in for negate_subtree."""
+    is in `suppressed`, the ids the phrases cover. `negate` stands in for
+    negate_subtree."""
     parent = node.parent
     if parent is None or node is not parent.left:
         return False
@@ -728,7 +739,7 @@ def reference_word_rule(node, lexicon, suppressed=frozenset(), negate=None):
             negate(parent.right)
             return True
     if label == "mark":
-        head = node.head_leaf().val
+        head = node.head.val
         if lexicon.is_conditional(head.form) or lexicon.is_conditional(head.lemma):
             negate(parent.right)
             return True
@@ -766,29 +777,22 @@ def test_word_rule_matches_reference_on_random_trees(lexicon, monkeypatch):
     polarize_module = sys.modules["udpolarity.polarize"]
     negate_subtree = polarize_module.negate_subtree
     rng = random.Random(12)
-    calls = passed = 0
+    calls = long_covered = 0
 
-    def checked(node, lexicon, suppressed=frozenset(), known=None):
-        nonlocal calls, passed
+    def checked(node, lexicon, phrases=None):
+        nonlocal calls, long_covered
         targets = []
-        expected = reference_word_rule(node, lexicon, suppressed, targets.append)
-        before = dict(known)
-        got = apply_word_rule(node, lexicon, suppressed, known)
+        expected = reference_word_rule(node, lexicon, cover_of(phrases), targets.append)
+        got = apply_word_rule(node, lexicon, phrases)
         assert got == expected
         assert targets == ([node.parent.right] if got else [])
         calls += 1
-        stack = [node]
-        while stack:  # a subtree the walk may pass
-            sub = stack.pop()
-            if sub in before:
-                passed += 1
-                break
-            if sub.left is not None:
-                stack += (sub.left, sub.right)
+        long_covered += (node.size > lexicon.longest_negation
+                         and phrases is not None and phrases.covers(node))
         return got
 
-    def reference(node, lexicon, suppressed=frozenset(), known=None):
-        return reference_word_rule(node, lexicon, suppressed, negate_subtree)
+    def reference(node, lexicon, phrases=None):
+        return reference_word_rule(node, lexicon, cover_of(phrases), negate_subtree)
 
     for _ in range(1500):
         graph = word_rule_graph(rng)
@@ -799,5 +803,6 @@ def test_word_rule_matches_reference_on_random_trees(lexicon, monkeypatch):
             polarize(tree, lexicon)
             marks.append(project_to_tokens(tree, graph).tokens)
         assert marks[0] == marks[1], serialize_conllu([graph])
-    # the nests hold subtrees the walk passes as suppressed
-    assert calls > 10_000 and passed > 500, (calls, passed)
+    # the nests hold dependents longer than any negation phrase that the
+    # phrases cover whole
+    assert calls > 10_000 and long_covered > 500, (calls, long_covered)
