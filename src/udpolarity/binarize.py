@@ -62,6 +62,11 @@ class BinaryDepTree:
     the tree is built. `min_id` and `max_id` are the smallest and largest
     token ids in the subtree, `size` its leaf count and `head` its head
     leaf, which is its last leaf: heads sit on the right spine.
+
+    The back links (each child's `parent`, each leaf's `head`, which is
+    the leaf itself, and the root's `_leaves`) make a built tree a
+    reference cycle, which only the cyclic garbage collector frees;
+    `release()` on the root drops them once the tree is done with.
     """
 
     __slots__ = ("val", "left", "right", "mark", "pending", "parent",
@@ -137,6 +142,22 @@ class BinaryDepTree:
                 stack.append(node.right)
                 stack.append(node.left)
             yield node
+
+    def release(self):
+        """Drop the back links of this root's tree, so that reference
+        counting frees it as soon as it is unreferenced. Call it when no
+        stage reads the tree any more: parents, head leaves and the
+        leaves tuple are gone afterwards."""
+        self._leaves = None
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            node.parent = None
+            if node.left is None:
+                node.head = None
+            else:
+                stack.append(node.left)
+                stack.append(node.right)
 
     def __repr__(self):
         if self.is_leaf:

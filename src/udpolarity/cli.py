@@ -13,10 +13,17 @@ host program should not call `main` with it.
 Exit codes: 0 success, 1 usage or I/O or parse failure, or output that
 could not be written (a closed pipe exits quietly), 2 gold alignment
 failure; with stderr closed, its lines are dropped and the code stays.
+
+Each sentence's tree is released once it is rendered (see `_annotate`),
+so a run leaves the cyclic garbage collector none of its sentences to
+free. `entry`, the process entry, freezes the heap once `main` returns,
+so the collection at interpreter exit skips every object still alive;
+`main` itself does not, since tests and host programs call it in-process.
 """
 
 import argparse
 import functools
+import gc
 import io
 import os
 import sys
@@ -45,7 +52,7 @@ def _annotate(hierarchy, lexicon, fmt, block):
     its (Token, mark) pairs when `fmt` is None; None for a block with no
     tokens, the ConlluError of an invalid one and the MarkError of one the
     polarizer fails on. A worker process returns no tree: pickling one
-    recurses as deep as the tree.
+    recurses as deep as the tree. The tree is released before returning.
     """
     where, line, ordinal, lines = block
     try:
@@ -60,8 +67,11 @@ def _annotate(hierarchy, lexicon, fmt, block):
         polarize(tree, lexicon)
         annotated = project_to_tokens(tree, graph)
     except MarkError as exc:
+        tree.release()
         return MarkError(f"{where}sentence {graph.sent_id}: {exc}")
-    return annotated.tokens if fmt is None else render(annotated, fmt)
+    result = annotated.tokens if fmt is None else render(annotated, fmt)
+    tree.release()
+    return result
 
 
 def _say(err, line):
@@ -353,5 +363,13 @@ def main(argv=None, out=None, err=None):
     return code
 
 
+def entry():
+    """`main()` as the process entry (`python -m udpolarity.cli` and the
+    `udpolarity` script): its exit code, after gc.freeze()."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

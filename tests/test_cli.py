@@ -1,3 +1,4 @@
+import gc
 import io
 import os
 import pathlib
@@ -10,8 +11,10 @@ import time
 import pytest
 
 from udpolarity import (
+    BinaryDepTree,
     ConlluError,
     MarkError,
+    Token,
     binarize,
     parse_conllu,
     polarize,
@@ -841,3 +844,120 @@ def test_output_that_cannot_be_written_is_an_error(command):
         child.stderr.close()
         assert child.wait(timeout=60) == 1
     assert err == b"error: [Errno 28] No space left on device\n"
+
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """(CoNLL-U, gold) paths of the mini corpus and of 2000 corpus-pool
+    sentences (with a gold that aligns, every mark ↑), under "valid"; the
+    same after one invalid sentence, which --lenient skips, under "invalid"."""
+    tmp = tmp_path_factory.mktemp("inputs")
+    mini, mini_gold = str(DATA / "mini_corpus.conllu"), str(DATA / "mini_gold.tsv")
+    text = "\n".join(workloads.corpus_pool_block(i) for i in range(2000))
+    pool = write(tmp, "pool.conllu", text)
+    code, tsv, _err = run_cli(["polarize", "--format", "tsv", pool])
+    assert code == 0
+    gold = "\n".join(
+        "\t".join(["s", *row.split("\t")[1:3], "^"]) if row else "" for row in tsv.splitlines()
+    )
+    pool_gold = write(tmp, "pool-gold.tsv", gold + "\n")
+    bad = "1\tonly\tthree\n\n"
+    return {
+        "valid": [(mini, mini_gold), (pool, pool_gold)],
+        "invalid": [
+            (write(tmp, "bad-mini.conllu", bad + pathlib.Path(mini).read_text("utf-8")), mini_gold),
+            (write(tmp, "bad-pool.conllu", bad + text), pool_gold),
+        ],
+    }
+
+
+def _cyclic_garbage(argv):
+    """`main(argv)` with the cyclic collector off: its exit code, how many
+    objects it left that only the collector frees, and whether a tree node
+    or a token is among them."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        code = main(argv, out=io.StringIO(), err=io.StringIO())
+        found = gc.collect()
+        return code, found, any(isinstance(o, (BinaryDepTree, Token)) for o in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+
+
+def _failing_odd_trees(tree, lexicon):
+    """polarize(), then a MarkError on a tree with an odd leaf count."""
+    polarize(tree, lexicon)
+    if tree.size % 2:
+        raise MarkError("odd")
+    return tree
+
+
+@pytest.mark.parametrize("argv, kind", [
+    *((["polarize", "--format", fmt], "valid") for fmt in ("inline", "tsv", "sexpr", "dot")),
+    (["eval", "--key-only"], "valid"),
+    (["polarize", "--lenient", "--format", "sexpr"], "invalid"),
+    (["eval", "--lenient"], "invalid"),
+    (["polarize", "--lenient", "--format", "tsv"], "mark-error"),
+], ids=["inline", "tsv", "sexpr", "dot", "eval", "lenient", "eval-lenient", "mark-error"])
+def test_a_run_leaves_no_cyclic_garbage_from_its_sentences(monkeypatch, inputs, argv, kind):
+    # each sentence's tree is released once it is rendered, so reference
+    # counting frees it: what the collector finds is argparse's, as much
+    # after 2000 sentences as after 10, and no tree or token is in it
+    if kind == "mark-error":
+        monkeypatch.setattr(cli, "polarize", _failing_odd_trees)
+    found = set()
+    for conllu, gold in inputs["invalid" if kind == "invalid" else "valid"]:
+        gold_args = ["--gold", gold] if argv[0] == "eval" else []
+        code, count, kept = _cyclic_garbage([*argv, *gold_args, conllu])
+        assert (code, kept) == (0, False), (conllu, count)
+        found.add(count)
+    assert len(found) == 1, found
+
+
+def test_the_process_entry_prints_what_main_prints(inputs):
+    # `python -m udpolarity.cli` exits through `entry`, which freezes the
+    # heap after main() returns: the bytes and the exit code stay main()'s
+    (mini, _), (pool, pool_gold) = inputs["valid"]
+    (invalid, _), _ = inputs["invalid"]
+    commands = [["polarize", "--format", fmt, pool] for fmt in ("inline", "tsv", "sexpr", "dot")]
+    commands += [["polarize", invalid], ["eval", "--gold", pool_gold, mini]]  # exit 1, exit 2
+    children = [_cli_popen(argv, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE)
+                for argv in commands]  # they run while main() does
+    codes = []
+    for argv, child in zip(commands, children):
+        code, out, err = run_cli(argv)
+        stdout, stderr = child.communicate(timeout=60)
+        assert (child.returncode, stdout, stderr) == (
+            code, out.encode("utf-8"), err.encode("utf-8")), argv
+        codes.append(code)
+    assert codes == [0, 0, 0, 0, 1, 2]
+
+
+def test_only_the_process_entry_freezes_the_heap():
+    # main() is called in-process by tests and host programs: it must not
+    # freeze their heap; the process entry, shared by `python -m
+    # udpolarity.cli` and the `udpolarity` script, does
+    frozen = gc.get_freeze_count()
+    assert run_cli(["polarize", str(DATA / "mini_corpus.conllu")])[0] == 0
+    assert gc.get_freeze_count() == frozen
+    script = (
+        "import gc, runpy, sys\n"
+        "sys.argv = ['udpolarity', 'polarize']\n"
+        "try:\n"
+        "    runpy.run_module('udpolarity.cli', run_name='__main__')\n"
+        "finally:\n"
+        "    print(gc.get_freeze_count())\n"
+    )
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    child = subprocess.run([sys.executable, "-c", script], input="", capture_output=True,
+                           text=True, env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert int(child.stdout) > 0
+    pyproject = (src.parent / "pyproject.toml").read_text("utf-8")
+    assert '\nudpolarity = "udpolarity.cli:entry"\n' in pyproject
