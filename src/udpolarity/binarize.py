@@ -24,9 +24,6 @@ class RelationHierarchy:
     def __init__(self, levels):
         self.levels = dict(levels)
 
-    def level(self, label):
-        return self.levels.get(label, DEFAULT_UNKNOWN_LEVEL)
-
     @classmethod
     def from_file(cls, path):
         return cls(_levels(read_rows(path)))

@@ -66,12 +66,11 @@ def _annotate(hierarchy, lexicon, fmt, block):
     try:
         polarize(tree, lexicon)
         annotated = project_to_tokens(tree, graph)
+        return annotated.tokens if fmt is None else render(annotated, fmt)
     except MarkError as exc:
-        tree.release()
         return MarkError(f"{where}sentence {graph.sent_id}: {exc}")
-    result = annotated.tokens if fmt is None else render(annotated, fmt)
-    tree.release()
-    return result
+    finally:
+        tree.release()
 
 
 def _say(err, line):
@@ -273,11 +272,6 @@ def cmd_eval(args, out, err):
     return EXIT_OK
 
 
-def cmd_render(args, out, err):
-    args.format = "dot"
-    return cmd_polarize(args, out, err)
-
-
 def positive_int(text):
     value = int(text)
     if value < 1:
@@ -285,6 +279,7 @@ def positive_int(text):
     return value
 
 
+@functools.cache  # one parser a process: each one built is cyclic garbage
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="udpolarity",
@@ -331,7 +326,7 @@ def build_parser():
 
     p_render = sub.add_parser("render", help="emit Graphviz DOT trees")
     common(p_render)
-    p_render.set_defaults(func=cmd_render)
+    p_render.set_defaults(func=cmd_polarize, format="dot")
 
     return parser
 

@@ -23,13 +23,16 @@ Complement relations finally negate their dependent when the governing
 predicate is a downward-entailing implicative ("refused to go").
 
 A rule is a generator: it yields each internal child to polarize, in its
-own order, and resumes once that child's whole subtree is done. The
-polarizer keeps the rules in progress on an explicit stack, so tree depth
-is bounded by memory, not by the interpreter's recursion limit.
+own order, and resumes once that child's whole subtree is done.
+polarize() keeps the rules in progress on an explicit stack, so tree
+depth is bounded by memory, not by the interpreter's recursion limit; the
+rules share the tree, the lexicon and the sentence's _Phrases through a
+_Run.
 
 A determiner finds its quantifier phrase through _Phrases, built on the
 sentence's first determiner: tokens by id (ids run 1..n; conllu refuses
-any other) and a dependent by its leaf run. The scans of all of a
+any other), the last gap stop before each id as one prefix array filled
+with them, and a dependent by its leaf run. The scans of all of a
 sentence's determiners together take time linear in the sentence,
 however they nest, except in a nest whose dependents are not projective:
 a dependent whose ids span k words that start a phrase but are not its
@@ -85,14 +88,15 @@ def _next(skip, i):
 
 class _Phrases:
     """What a sentence's determiners read their quantifier phrases from,
-    built on the sentence's first determiner: its tokens and their leaf
-    positions in lists indexed by id, and what its scans found so far, so
-    that together they take time linear in the sentence (but see the
-    module's docstring). A subtree is read by its leaf run: its leaves
-    form one run of `size` leaves ending at its `head`, so a token is in
-    the subtree iff its leaf position lies in that run. The ids that the
-    phrases found so far cover make the cover, kept by id and by leaf
-    position.
+    built on the sentence's first determiner: its tokens, their leaf
+    positions and the last gap stop before each in lists indexed by id,
+    and what its scans found so far (the phrases each id starts, and
+    which ids may still start one), so that together they take time
+    linear in the sentence (but see the module's docstring). A subtree is
+    read by its leaf run: its leaves form one run of `size` leaves ending
+    at its `head`, so a token is in the subtree iff its leaf position lies
+    in that run. The ids that the phrases found so far cover make the
+    cover, kept by id and by leaf position.
     """
 
     def __init__(self, tree, lexicon):
@@ -107,8 +111,10 @@ class _Phrases:
                 raise MarkError(f"token id {i}: the ids of a sentence must run 1..{n}")
             toks[i] = leaf.val
             at[i] = p
+        self.floors = floors = [0] * (n + 1)  # id -> the last gap stop before it, or 0
+        for i in range(2, n + 1):
+            floors[i] = i - 1 if toks[i - 1].upos in _GAP_STOP_UPOS else floors[i - 1]
         self.matches = {}  # id -> [(length, profile)] of the phrases it starts, longest first
-        self.floors = [0, 0] + [None] * (n - 1)  # see _floor()
         # skip lists for _next(): ids that may start a phrase, and the ids
         # and leaf positions the cover leaves out
         self.live = list(range(n + 2))
@@ -138,22 +144,30 @@ class _Phrases:
         # a span passes iff it ends at or after `floor`, the last gap stop
         # before the head
         head = det_node.right.min_id
-        floor = self._floor(head)
+        floor = self.floors[head]
         start = max(start, floor - self.lexicon.max_phrase_len + 1)
         # the candidates: every id from `start` to `first`, then the
         # dependent's ids after it (`start` may lie past `first`), which
-        # are those whose leaf position lies in its run lo..hi
+        # are those whose leaf position lies in its run lo..hi; an id that
+        # starts no phrase leaves `live` for good
         hi = at[dep.head.val.id]
         lo = hi - dep.size + 1
-        for a in self._anchors(start, dep.max_id):
-            if a > first and not lo <= at[a] <= hi:
-                continue
-            for length, profile in self.matches[a]:
-                end = a + length - 1
-                if end < floor:
-                    break
-                if end <= first or all(lo <= at[i] <= hi for i in range(max(a, first) + 1, end + 1)):
-                    return profile, a, end if end >= head else head - 1
+        live, matches, top = self.live, self.matches, dep.max_id
+        a = _next(live, start)
+        while a <= top:
+            found = matches.get(a)
+            if found is None:
+                found = matches[a] = self._matches(a)
+            if not found:
+                live[a] = a + 1
+            elif a <= first or lo <= at[a] <= hi:
+                for length, profile in found:
+                    end = a + length - 1
+                    if end < floor:
+                        break
+                    if end <= first or all(lo <= at[i] <= hi for i in range(max(a, first) + 1, end + 1)):
+                        return profile, a, end if end >= head else head - 1
+            a = _next(live, a + 1)
         return None
 
     def _matches(self, a):
@@ -170,35 +184,6 @@ class _Phrases:
         profile = self.lexicon.profile
         found = [(length, profile(span[:length])) for length in range(len(span), 0, -1)]
         return [match for match in found if match[1] is not None]
-
-    def _floor(self, head):
-        """The last id before `head` whose token may not stand between a
-        phrase and its head, or 0. floors[i] is that id for i, once found;
-        a walk down from `head` finds it for every id it passes."""
-        floors, toks = self.floors, self.toks
-        i = head
-        while floors[i] is None:
-            if toks[i - 1].upos in _GAP_STOP_UPOS:
-                floors[i] = i - 1
-                break
-            i -= 1
-        floors[i + 1:head + 1] = [floors[i]] * (head - i)
-        return floors[head]
-
-    def _anchors(self, start, top):
-        """Every id from `start` to `top` that starts a phrase, in order,
-        with its matches found."""
-        live, matches = self.live, self.matches
-        i = _next(live, start)
-        while i <= top:
-            found = matches.get(i)
-            if found is None:
-                found = matches[i] = self._matches(i)
-            if found:
-                yield i
-            else:
-                live[i] = i + 1
-            i = _next(live, i + 1)
 
     def suppress(self, first, last):
         """Add the ids from `first` to `last` to the cover, each at most
@@ -245,46 +230,12 @@ def apply_word_rule(node, lexicon, phrases=None):
 
 
 class _Run:
-    """One polarization pass over one tree (single-threaded per sentence)."""
+    """What the rules of one polarization pass over one tree share."""
 
-    def __init__(self, lexicon):
-        self.lexicon = lexicon
-        self.tree = None
-        self.phrases = None  # the sentence's _Phrases, once a determiner needs them
-
-    def polarize(self, tree):
-        if tree.left is not None and tree.left.mark is not None:
-            raise MarkError("the tree is polarized already")
+    def __init__(self, tree, lexicon):
         self.tree = tree
-        if tree.mark is None:
-            tree.mark = _UP
-        if tree.left is not None:
-            self.visit(tree)
-        # the walk resolves every pending operator down to the leaves, as
-        # tree.nodes() would
-        stack = [tree]
-        while stack:
-            node = stack.pop()
-            if node.mark is None:
-                raise MarkError("polarization left a node unmarked")
-            if node.left is not None:
-                if node.pending is not None:
-                    push(node)
-                stack += (node.right, node.left)
-        return tree
-
-    def visit(self, node):
-        """Run the rule of an internal node and, depth first, the rules of
-        the nodes it yields, keeping the rules in progress on a stack. A
-        rule yields no leaf: a leaf has no rule to run."""
-        rule = RULES.get
-        stack = [rule(node.val, rule_default)(self, node)]
-        while stack:
-            child = next(stack[-1], None)
-            if child is None:
-                stack.pop()
-            else:
-                stack.append(rule(child.val, rule_default)(self, child))
+        self.lexicon = lexicon
+        self.phrases = None  # the sentence's _Phrases, once a determiner needs them
 
 
 def _react(trigger, target):
@@ -425,7 +376,35 @@ def polarize(tree, lexicon=None):
     """
     if lexicon is None:
         lexicon = load_lexicon()
-    return _Run(lexicon).polarize(tree)
+    if tree.left is not None and tree.left.mark is not None:
+        raise MarkError("the tree is polarized already")
+    if tree.mark is None:
+        tree.mark = _UP
+    if tree.left is not None:
+        # run the root's rule and, depth first, the rules of the nodes it
+        # yields, keeping the rules in progress on a stack; a rule yields
+        # no leaf: a leaf has no rule to run
+        run = _Run(tree, lexicon)
+        rule = RULES.get
+        stack = [rule(tree.val, rule_default)(run, tree)]
+        while stack:
+            child = next(stack[-1], None)
+            if child is None:
+                stack.pop()
+            else:
+                stack.append(rule(child.val, rule_default)(run, child))
+    # the walk resolves every pending operator down to the leaves, as
+    # tree.nodes() would
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node.mark is None:
+            raise MarkError("polarization left a node unmarked")
+        if node.left is not None:
+            if node.pending is not None:
+                push(node)
+            stack += (node.right, node.left)
+    return tree
 
 
 def project_to_tokens(tree, graph):

@@ -34,16 +34,22 @@ def test_default_hierarchy_has_exactly_44_entries():
 
 def test_hierarchy_orders_nsubj_above_obj():
     h = RelationHierarchy.default()
-    assert h.level("nsubj") == 20
-    assert h.level("obj") == 60
-    assert h.level("conj-sent") == 0
-    assert h.level("flat") == 100
+    assert h.levels["nsubj"] == 20
+    assert h.levels["obj"] == 60
+    assert h.levels["conj-sent"] == 0
+    assert h.levels["flat"] == 100
 
 
 def test_unknown_relation_gets_default_level():
+    # a label missing from the table sorts at level 45: level ties with
+    # `x` at 45 fall to token ids on both sides
     h = RelationHierarchy.default()
-    assert h.level("punct") == 45
-    assert h.level("vocative") == 45
+    assert "punct" not in h.levels and "vocative" not in h.levels
+    h = RelationHierarchy({**h.levels, "x": 45})
+    rows = [(i, "w", "w", "X", int(i > 1), "dep" if i > 1 else "root") for i in range(1, 6)]
+    cop, punct, x, vocative, aux = graph_of(rows).tokens
+    out = sort_children([("cop", cop), ("punct", punct), ("x", x), ("vocative", vocative), ("aux", aux)], h)
+    assert [rel for rel, _ in out] == ["aux", "punct", "x", "vocative", "cop"]
 
 
 # ---------------------------------------------------------------- refine
@@ -285,7 +291,7 @@ def test_priority_ordering_on_spine():
     levels = []
     node = tree
     while not node.is_leaf:
-        levels.append(h.level(node.val))
+        levels.append(h.levels[node.val])
         node = node.right
     assert levels == sorted(levels)
 

@@ -921,6 +921,17 @@ def test_a_run_leaves_no_cyclic_garbage_from_its_sentences(monkeypatch, inputs, 
     assert len(found) == 1, found
 
 
+@pytest.mark.parametrize("command", ["polarize", "render", "eval"])
+def test_a_second_main_leaves_no_cyclic_garbage(inputs, command):
+    # main() builds its argument parser once a process: an in-process call
+    # after the first leaves the collector nothing, argparse's objects
+    # included
+    (mini, gold), _ = inputs["valid"]
+    argv = [command, *(["--gold", gold] if command == "eval" else []), mini]
+    assert main(argv, out=io.StringIO(), err=io.StringIO()) == 0
+    assert _cyclic_garbage(argv) == (0, 0, False)
+
+
 def test_the_process_entry_prints_what_main_prints(inputs):
     # `python -m udpolarity.cli` exits through `entry`, which freezes the
     # heap after main() returns: the bytes and the exit code stay main()'s
