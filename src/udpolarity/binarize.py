@@ -95,8 +95,9 @@ class BinaryDepTree:
         """The leaves left to right, as a tuple.
 
         A root keeps its tuple, so the stages after binarization share one
-        walk; a subtree walks again on every call, which keeps memory
-        linear in the sentence. Leaf marks are final once `nodes()` has
+        walk (polarize() leaves it filled from its own final walk); a
+        subtree walks again on every call, which keeps memory linear in
+        the sentence. Leaf marks are final once `nodes()` has
         walked the tree, as polarize() does.
         """
         if self._leaves is not None:
@@ -185,10 +186,17 @@ def refine_relation(deprel, head, dependent, graph):
     return "conj-np"
 
 
+def _rank(level, label, token):
+    """The (level-id, token id, label) key that orders a head's dependents,
+    `level` being a hierarchy's `levels.get`. A sentence's ids are unique,
+    so binarize sorts these tuples in C and never compares the label."""
+    return level(label, DEFAULT_UNKNOWN_LEVEL), token.id, label
+
+
 def sort_children(children, hierarchy):
     """Order (relation, token) pairs by level-id, ties by token id."""
     level = hierarchy.levels.get
-    return sorted(children, key=lambda rt: (level(rt[0], DEFAULT_UNKNOWN_LEVEL), rt[1].id))
+    return sorted(children, key=lambda pair: _rank(level, *pair)[:2])
 
 
 def binarize(graph, hierarchy=None):
@@ -203,7 +211,7 @@ def binarize(graph, hierarchy=None):
     if hierarchy is None:
         hierarchy = RelationHierarchy.default()
     root = graph_root(graph)
-    children = graph._children
+    children, level = graph._children, hierarchy.levels.get
     # composing the breadth-first order backwards builds every dependent's
     # subtree before its head's spine needs it
     built = {}
@@ -219,11 +227,13 @@ def binarize(graph, hierarchy=None):
                 elif (token is root and label in ("advcl", "advmod")
                       and built[child.id].min_id == 1):
                     label += "-sent"
-                deps.append((label, child))
-            if len(deps) > 1:
-                deps = sort_children(deps, hierarchy)
-            for label, child in reversed(deps):
+                deps.append(_rank(level, label, child))
+            if len(deps) == 1:  # the loop's label and child
                 node = BinaryDepTree(label, built.pop(child.id), node)
+            else:
+                deps.sort()
+                for _level, cid, label in reversed(deps):
+                    node = BinaryDepTree(label, built.pop(cid), node)
         built[token.id] = node
     return built[root.id]
 

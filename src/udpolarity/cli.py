@@ -134,6 +134,8 @@ def _forked(annotate, runs, lenient):
     failure, kills and reaps every child left. A child that exits nonzero
     or is killed is a ChildProcessError that names its run.
     """
+    import pickle  # before forking, so that no child spends its run importing it
+
     cpus = _cpus()
     children = []  # (pid, read end of its pipe, its run), in input order
     try:
@@ -143,8 +145,6 @@ def _forked(annotate, runs, lenient):
             if pid == 0:  # the child: never returns to the caller
                 code = 1
                 try:
-                    import pickle  # after the fork: off this process's path
-
                     os.close(read)
                     for _pid, other, _run in children:  # each pipe has one reader
                         os.close(other)
@@ -166,8 +166,6 @@ def _forked(annotate, runs, lenient):
             yield from map(annotate, runs[0])
         finally:
             _pin(cpus)
-        import pickle  # while the workers finish their runs
-
         while children:
             pid, read, run = children.pop(0)
             try:

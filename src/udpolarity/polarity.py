@@ -93,7 +93,9 @@ def push(node):
 def negate_subtree(tree):
     """Flip UP<->DOWN on every node of the subtree; FLAT stays put. An
     unassigned mark on the node or its children is a MarkError."""
-    if any(n is not None and n.mark is None for n in (tree, tree.left, tree.right)):
+    left, right = tree.left, tree.right
+    if (tree.mark is None or left is not None and left.mark is None
+            or right is not None and right.mark is None):
         raise MarkError("negation over an unassigned mark")
     _apply(_DOWN, tree)
 

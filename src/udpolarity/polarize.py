@@ -216,8 +216,13 @@ def apply_word_rule(node, lexicon, phrases=None):
         return False
     label = parent.val
     if label in ADVERBIAL_RELATIONS:
-        fires = node.size <= lexicon.longest_negation and lexicon.is_negation_phrase(
-            [leaf.val.form for leaf in sorted(node.leaves(), key=lambda leaf: leaf.val.id)])
+        if node.left is None:
+            fires = lexicon.is_negation_phrase((node.val.form,))
+        else:
+            # a Token's id leads its tuple, and ids are unique: sorting the
+            # tokens puts the words in id order
+            fires = node.size <= lexicon.longest_negation and lexicon.is_negation_phrase(
+                [tok.form for tok in sorted([leaf.val for leaf in node.leaves()])])
     elif label == "mark":
         head = node.head.val
         fires = lexicon.is_conditional(head.form) or lexicon.is_conditional(head.lemma)
@@ -394,16 +399,22 @@ def polarize(tree, lexicon=None):
             else:
                 stack.append(rule(child.val, rule_default)(run, child))
     # the walk resolves every pending operator down to the leaves, as
-    # tree.nodes() would
+    # tree.nodes() would, and meets the leaves left to right: a root keeps
+    # them as its leaves() (see BinaryDepTree.leaves)
+    leaves = []
     stack = [tree]
     while stack:
         node = stack.pop()
         if node.mark is None:
             raise MarkError("polarization left a node unmarked")
-        if node.left is not None:
+        if node.left is None:
+            leaves.append(node)
+        else:
             if node.pending is not None:
                 push(node)
             stack += (node.right, node.left)
+    if tree.parent is None:
+        tree._leaves = tuple(leaves)
     return tree
 
 

@@ -151,6 +151,40 @@ def test_sort_children_tie_breaks_by_token_id():
     assert [t.id for _rel, t in out] == [2, 3]
 
 
+def test_binarize_orders_dependents_as_sort_children_does():
+    # binarize sorts its own keys; each head's spine must read, top down,
+    # as sort_children orders the same (label, token) pairs, whatever
+    # order they come in
+    rng = random.Random(20)
+    h = RelationHierarchy.default()
+    several = 0
+    for _ in range(2000):
+        graph = random_graph(rng, rng.randint(2, 25))
+        tree = binarize(graph, h)
+        stack = [tree]
+        while stack:
+            top = stack.pop()
+            if top.left is None:
+                continue
+            stack += (top.left, top.right)
+            if top.parent is not None and top is top.parent.right:
+                continue  # inside a spine, not at its top
+            spine = []
+            node = top
+            while node.left is not None:
+                spine.append((node.val, node.left.head.val))
+                node = node.right
+            head = node.val
+            assert sorted(t.id for _label, t in spine) == [
+                t.id for t in graph.tokens if t.head == head.id
+            ]
+            shuffled = spine[:]
+            rng.shuffle(shuffled)
+            assert sort_children(shuffled, h) == spine
+            several += len(spine) > 1
+    assert several > 2000
+
+
 # ---------------------------------------------------------------- binarize
 
 def test_binarize_all_dogs_eat_apples():

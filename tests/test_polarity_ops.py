@@ -87,6 +87,17 @@ def test_negate_unassigned_is_error():
         negate_subtree(tree)
 
 
+@pytest.mark.parametrize("unassigned", ["node", "left"])
+def test_negate_unassigned_node_or_left_child_is_error(unassigned):
+    # the right child is test_negate_unassigned_is_error's case; a marked
+    # leaf and a marked node are test_negate_single_leaf's and
+    # test_negate_mark_to_go_subtree's
+    tree = node("dep", leaf("a", 1, Polarity.UP), leaf("b", 2, Polarity.DOWN), Polarity.UP)
+    {"node": tree, "left": tree.left}[unassigned].mark = None
+    with pytest.raises(MarkError):
+        negate_subtree(tree)
+
+
 # ------------------------------------------------------------ equalize
 
 def test_equalize_leaf():

@@ -32,6 +32,7 @@ from .conftest import (
     graph_of,
     mark_names,
     random_graph,
+    workloads,
 )
 
 UP, DOWN, FLAT = Polarity.UP, Polarity.DOWN, Polarity.FLAT
@@ -537,6 +538,49 @@ def test_project_unmarked_leaf_is_error():
     tree = binarize(g)
     with pytest.raises(MarkError):
         project_to_tokens(tree, g)
+
+
+def fresh_leaves(tree):
+    """The leaves left to right, by a stack walk of its own."""
+    out, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        if node.left is None:
+            out.append(node)
+        else:
+            stack += (node.right, node.left)
+    return tuple(out)
+
+
+def test_polarize_leaves_the_roots_leaves_cached(mini_corpus):
+    # the final walk of polarize() meets every leaf left to right and keeps
+    # them, so project_to_tokens walks the tree no more
+    blocks = [workloads.corpus_pool_block(i) for i in range(0, workloads.CORPUS_POOL, 50)]
+    blocks += [
+        workloads.deep_block(workloads.deep_key(kind, n, 0))
+        for kind in workloads.DEEP_KINDS
+        for n, _count in workloads.DEEP_LADDER
+    ]
+    graphs = list(mini_corpus) + [parse_conllu(block)[0] for block in blocks]
+    lexicon = load_lexicon()
+    for graph in graphs:
+        tree = binarize(graph)
+        assert tree._leaves is None
+        polarize(tree, lexicon)
+        assert tree._leaves == fresh_leaves(tree)
+        assert tree.leaves() is tree._leaves
+        tree.release()
+        assert tree._leaves is None
+
+
+def test_subtree_polarized_alone_keeps_no_leaves():
+    tree = binarize(parse_conllu(workloads.deep_block("neg-25-0"))[0])
+    subtree = tree.right
+    assert subtree.left is not None and subtree.parent is tree
+    polarize(subtree)
+    assert subtree._leaves is None and tree._leaves is None
+    assert subtree.leaves() == fresh_leaves(subtree)
+    assert subtree._leaves is None
 
 
 # ---------------------------------------------------------------- random trees
