@@ -56,7 +56,6 @@ from .polarity import (
 )
 from .polarize import (
     AnnotatedSentence,
-    apply_word_rule,
     polarize,
     project_to_tokens,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "Token",
     "ValidationError",
     "align",
-    "apply_word_rule",
     "binarize",
     "equalize_subtree",
     "evaluate",

@@ -34,13 +34,18 @@ class RelationHierarchy:
 
 
 def _levels(rows):
-    """label -> level of the rows of a hierarchy table."""
-    levels = {}
+    """label -> level of the rows of a hierarchy table, one row a label."""
+    levels, linenos = {}, {}
     for name, lineno, line in rows:
         parts = line.split("\t")
         if len(parts) != 2 or not parts[0]:
             raise ValueError(f"{name} line {lineno}: expected label<TAB>level")
         label, level = parts
+        if label in linenos:
+            raise ValueError(
+                f"{name} line {lineno}: duplicate label {label!r} (already on line {linenos[label]})"
+            )
+        linenos[label] = lineno
         try:
             levels[label] = int(level)
         except ValueError:
@@ -58,12 +63,11 @@ class BinaryDepTree:
     only slots mutated after construction, everything else is fixed when
     the tree is built. `min_id` and `max_id` are the smallest and largest
     token ids in the subtree, `size` its leaf count and `head` its head
-    leaf, which is its last leaf: heads sit on the right spine.
+    word's Token, which is its last leaf's: heads sit on the right spine.
 
-    The back links (each child's `parent`, each leaf's `head`, which is
-    the leaf itself, and the root's `_leaves`) make a built tree a
-    reference cycle, which only the cyclic garbage collector frees;
-    `release()` on the root drops them once the tree is done with.
+    The back links (each child's `parent` and the root's `_leaves`) make a
+    built tree a reference cycle, which only the cyclic garbage collector
+    frees; `release()` on the root drops them once the tree is done with.
     """
 
     __slots__ = ("val", "left", "right", "mark", "pending", "parent",
@@ -79,7 +83,7 @@ class BinaryDepTree:
         self._leaves = None
         if left is None:  # a leaf: val is a Token
             self.min_id = self.max_id = val.id
-            self.size, self.head = 1, self
+            self.size, self.head = 1, val
         else:
             left.parent = self
             right.parent = self
@@ -144,16 +148,14 @@ class BinaryDepTree:
     def release(self):
         """Drop the back links of this root's tree, so that reference
         counting frees it as soon as it is unreferenced. Call it when no
-        stage reads the tree any more: parents, head leaves and the
-        leaves tuple are gone afterwards."""
+        stage reads the tree any more: parents and the leaves tuple are
+        gone afterwards."""
         self._leaves = None
         stack = [self]
         while stack:
             node = stack.pop()
             node.parent = None
-            if node.left is None:
-                node.head = None
-            else:
+            if node.left is not None:
                 stack.append(node.left)
                 stack.append(node.right)
 

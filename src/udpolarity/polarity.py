@@ -41,13 +41,11 @@ class Polarity(enum.Enum):
             return other.flipped()
         return self
 
-    @property
-    def pretty(self):
-        return self.value
-
-    @property
-    def ascii(self):
-        return {"UP": "^", "DOWN": "v", "FLAT": "="}[self.name]
+    def __init__(self, pretty):
+        # the spellings the renderers read for every token: plain member
+        # attributes, set once from a table
+        self.pretty = pretty
+        self.ascii = {"↑": "^", "↓": "v", "=": "="}[pretty]
 
     @staticmethod
     def from_symbol(sym):

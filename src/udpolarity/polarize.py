@@ -17,7 +17,8 @@ applies whatever operator its relation calls for, ↓ (negation) or =
   it;
 * adverbial/case relations let negation operators like "not" or "without"
   negate the constituent they modify, and conditional markers negate the
-  antecedent clause they introduce.
+  antecedent clause they introduce: each of the two rules reads its
+  dependent's words itself (its word rule).
 
 Complement relations finally negate their dependent when the governing
 predicate is a downward-entailing implicative ("refused to go").
@@ -36,8 +37,9 @@ with them, and a dependent by its leaf run. The scans of all of a
 sentence's determiners together take time linear in the sentence,
 however they nest, except in a nest whose dependents are not projective:
 a dependent whose ids span k words that start a phrase but are not its
-own costs up to k steps to pass them. The word rules ask _Phrases whether
-the phrases cover their dependent, one pointer jump over its leaf run.
+own costs up to k steps to pass them. The adverbial and mark rules ask
+_Phrases whether the phrases cover their dependent, one pointer jump over
+its leaf run.
 """
 
 from collections import namedtuple
@@ -94,9 +96,9 @@ class _Phrases:
     which ids may still start one), so that together they take time
     linear in the sentence (but see the module's docstring). A subtree is
     read by its leaf run: its leaves form one run of `size` leaves ending
-    at its `head`, so a token is in the subtree iff its leaf position lies
-    in that run. The ids that the phrases found so far cover make the
-    cover, kept by id and by leaf position.
+    at its `head` word's leaf, so a token is in the subtree iff its leaf
+    position lies in that run. The ids that the phrases found so far
+    cover make the cover, kept by id and by leaf position.
     """
 
     def __init__(self, tree, lexicon):
@@ -150,7 +152,7 @@ class _Phrases:
         # dependent's ids after it (`start` may lie past `first`), which
         # are those whose leaf position lies in its run lo..hi; an id that
         # starts no phrase leaves `live` for good
-        hi = at[dep.head.val.id]
+        hi = at[dep.head.id]
         lo = hi - dep.size + 1
         live, matches, top = self.live, self.matches, dep.max_id
         a = _next(live, start)
@@ -197,41 +199,8 @@ class _Phrases:
 
     def covers(self, node):
         """Whether the cover holds every word of the subtree `node`."""
-        last = self.at[node.head.val.id]
+        last = self.at[node.head.id]
         return _next(self.open, last - node.size + 1) > last
-
-
-def apply_word_rule(node, lexicon, phrases=None):
-    """Word-level rule hook for the dependent side of a relation node.
-
-    Negation operators under an adverbial-modifier or case relation negate
-    the sibling constituent; a conditional marker under `mark` negates the
-    clause it introduces (the antecedent). Neither fires on a dependent
-    whose every word a quantifier phrase covers, as `phrases`, the
-    sentence's _Phrases when it has any, tells. Returns True when a rule
-    fired.
-    """
-    parent = node.parent
-    if parent is None or node is not parent.left:
-        return False
-    label = parent.val
-    if label in ADVERBIAL_RELATIONS:
-        if node.left is None:
-            fires = lexicon.is_negation_phrase((node.val.form,))
-        else:
-            # a Token's id leads its tuple, and ids are unique: sorting the
-            # tokens puts the words in id order
-            fires = node.size <= lexicon.longest_negation and lexicon.is_negation_phrase(
-                [tok.form for tok in sorted([leaf.val for leaf in node.leaves()])])
-    elif label == "mark":
-        head = node.head.val
-        fires = lexicon.is_conditional(head.form) or lexicon.is_conditional(head.lemma)
-    else:
-        return False
-    if not fires or phrases is not None and phrases.covers(node):
-        return False
-    negate_subtree(parent.right)
-    return True
 
 
 class _Run:
@@ -279,7 +248,7 @@ def rule_argument(run, node):
     if node.left.left is not None:
         yield node.left
     if node.val in COMPLEMENT_RELATIONS:
-        verb = node.right.head.val
+        verb = node.right.head
         if is_downward_operator(verb.lemma or verb.form, run.lexicon):
             negate_subtree(node.left)
 
@@ -308,8 +277,8 @@ def rule_determiner(run, node):
     context. Anything else defaults to an existential profile.
 
     The phrase comes from the sentence's _Phrases, and the ids it covers
-    join the sentence's phrase cover: the word rules of advmod/case/mark
-    do not fire on a dependent the cover holds whole.
+    join the sentence's phrase cover: the adverbial and mark rules apply
+    no word rule to a dependent the cover holds whole.
     """
     node.left.mark = node.mark
     outside = _UP  # the operator on the clause outside the phrase
@@ -321,7 +290,7 @@ def rule_determiner(run, node):
         run.phrases.suppress(first, last)
         node.right.mark = profile.first_arg
         outside = profile.second_arg
-    elif node.val == "nummod" and node.left.head.val.upos == "NUM":
+    elif node.val == "nummod" and node.left.head.upos == "NUM":
         node.left.mark = node.mark.flipped()
         node.right.mark = node.mark
     else:
@@ -338,28 +307,40 @@ def rule_determiner(run, node):
 
 
 def rule_adverbial(run, node):
-    """advmod/case: the dependent is polarized after the head material so a
-    negation operator ("not", "without", "than") can negate its sibling;
-    otherwise the forward reactions to the dependent's mark apply."""
+    """advmod/case: the dependent is polarized after the head material, so
+    that a negation operator ("not", "without", "than") the phrases do not
+    cover negates its sibling; otherwise the forward reactions to the
+    dependent's mark apply."""
     base = node.left.mark = node.right.mark = node.mark
     if node.right.left is not None:
         yield node.right
-    if node.left.left is not None:
-        yield node.left
-    if apply_word_rule(node.left, run.lexicon, run.phrases):
-        return
-    if node.left.mark is not base:
-        _react(node.left, node.right)
+    dep, lexicon = node.left, run.lexicon
+    if dep.left is None:
+        fires = lexicon.is_negation_phrase((dep.val.form,))
+    else:
+        yield dep
+        # a Token's id leads its tuple, and ids are unique: sorting the
+        # tokens puts the words in id order
+        fires = dep.size <= lexicon.longest_negation and lexicon.is_negation_phrase(
+            [tok.form for tok in sorted([leaf.val for leaf in dep.leaves()])])
+    if fires and (run.phrases is None or not run.phrases.covers(dep)):
+        negate_subtree(node.right)
+    elif dep.mark is not base:
+        _react(dep, node.right)
 
 
 def rule_mark(run, node):
-    """Clause markers: "if" negates the antecedent clause it introduces."""
+    """Clause markers: a conditional ("if") the phrases do not cover
+    negates the antecedent clause it introduces."""
     node.left.mark = node.right.mark = node.mark
     if node.right.left is not None:
         yield node.right
     if node.left.left is not None:
         yield node.left
-    apply_word_rule(node.left, run.lexicon, run.phrases)
+    word, lexicon = node.left.head, run.lexicon
+    if ((lexicon.is_conditional(word.form) or lexicon.is_conditional(word.lemma))
+            and (run.phrases is None or not run.phrases.covers(node.left))):
+        negate_subtree(node.right)
 
 
 # relation label -> rule; every other label takes rule_default

@@ -5,6 +5,8 @@ import random
 import subprocess
 import sys
 
+import pytest
+
 from udpolarity import (
     RelationHierarchy,
     binarize,
@@ -38,6 +40,16 @@ def test_hierarchy_orders_nsubj_above_obj():
     assert h.levels["obj"] == 60
     assert h.levels["conj-sent"] == 0
     assert h.levels["flat"] == 100
+
+
+def test_hierarchy_label_given_twice_is_refused(tmp_path):
+    # a later row once silently overrode an earlier one
+    path = tmp_path / "dup.tsv"
+    path.write_text("nsubj\t10\nobj\t60\n# again\nnsubj\t60\n", encoding="utf-8")
+    message = f"{path} line 4: duplicate label 'nsubj' (already on line 1)"
+    with pytest.raises(ValueError) as refused:
+        RelationHierarchy.from_file(path)
+    assert str(refused.value) == message
 
 
 def test_unknown_relation_gets_default_level():
@@ -172,7 +184,7 @@ def test_binarize_orders_dependents_as_sort_children_does():
             spine = []
             node = top
             while node.left is not None:
-                spine.append((node.val, node.left.head.val))
+                spine.append((node.val, node.left.head))
                 node = node.right
             head = node.val
             assert sorted(t.id for _label, t in spine) == [
@@ -249,15 +261,15 @@ for rows in (
 def test_modifiers_left_heads_right():
     tree = binarize(graph_of(ALL_DOGS_EAT_APPLES))
     # the right spine from any internal node ends at that constituent's head
-    assert tree.head.val.form == "eat"
-    assert tree.left.head.val.form == "dogs"
+    assert tree.head.form == "eat"
+    assert tree.left.head.form == "dogs"
 
 
 def test_subtree_slots_agree_with_walks():
     # min_id, max_id, size and head are filled bottom-up as a tree is
     # built; each must be what a walk of the finished subtree reads, and
     # a subtree's leaves must be the run of the root's leaves ending at
-    # its head
+    # its head word's leaf
     rng = random.Random(16)
     trees = [binarize(random_graph(rng, rng.randint(1, 40))) for _ in range(300)]
     trees += [
@@ -274,10 +286,10 @@ def test_subtree_slots_agree_with_walks():
             while spine.left is not None:
                 spine = spine.right
             ids = [item.val.id for item in node.leaves()]
-            assert node.head is spine
+            assert node.head is spine.val
             assert node.size == len(ids)
             assert (node.min_id, node.max_id) == (min(ids), max(ids))
-            end = at[node.head.val.id] + 1
+            end = at[node.head.id] + 1
             assert leaves[end - node.size:end] == node.leaves()
 
 

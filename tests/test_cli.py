@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+import types
 
 import pytest
 
@@ -375,6 +376,16 @@ def test_jobs_1_run_imports_no_dataclasses_or_process_pool():
     assert not loaded & {"typing", "importlib.resources", "pathlib", "tempfile", "zipfile"}
 
 
+def test_all_names_every_public_attribute_of_the_package():
+    # a name dropped from the package's imports but not from __all__, or
+    # the other way round, fails here
+    import udpolarity
+
+    public = {name for name, value in vars(udpolarity).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(udpolarity.__all__) == sorted(public)
+
+
 def test_jobs_2_matches_jobs_1_across_files_skips_and_deep_trees(tmp_path):
     chain = workloads.conllu_block("chain", workloads.deep_rows("neg", 3000, 0))
     first = write(tmp_path, "a.conllu", "\n".join([FIG1, LOCATED_ERRORS, chain]))
@@ -688,6 +699,7 @@ def test_hierarchy_errors_name_the_file_and_line(tmp_path):
     for text, message in (
         ("nsubj\t20\n\nobj 60\n", "line 3: expected label<TAB>level"),
         ("# levels\nnsubj\tx\n", "line 2: non-integer level 'x'"),
+        ("nsubj\t10\nnsubj\t60\n", "line 2: duplicate label 'nsubj' (already on line 1)"),
     ):
         hier = write(tmp_path, "h.tsv", text)
         assert run_cli(["polarize", "--hierarchy", hier, conllu]) == (

@@ -12,7 +12,6 @@ from udpolarity import (
     RelationHierarchy,
     Token,
     ValidationError,
-    apply_word_rule,
     binarize,
     load_lexicon,
     parse_conllu,
@@ -137,7 +136,7 @@ def test_premarked_root_inherits_down():
     polarize(tree)
     # the obj side inherits the antitone context wholesale
     assert tree.right.mark is DOWN
-    assert tree.right.head.mark is DOWN  # eat
+    assert tree.right.right.mark is DOWN  # eat
 
 
 # ---------------------------------------------------------------- clause mods
@@ -342,10 +341,7 @@ def test_word_rule_noop_for_plain_word(lexicon):
         ]
     )
     tree = binarize(g)
-    polarize(tree)
-    fast_leaf = tree.left
-    assert fast_leaf.val.form == "fast"
-    assert apply_word_rule(fast_leaf, lexicon) is False
+    polarize(tree, lexicon)
     assert mark_names(project_to_tokens(tree, g)) == ["UP", "UP"]
 
 
@@ -756,10 +752,10 @@ def cover_of(phrases):
 
 
 def reference_word_rule(node, lexicon, suppressed=frozenset(), negate=None):
-    """apply_word_rule as it was before it passed subtrees known to be
-    suppressed: it reads the whole dependent while every leaf it has read
-    is in `suppressed`, the ids the phrases cover. `negate` stands in for
-    negate_subtree."""
+    """The word rule of the advmod/case and mark rules as it was before it
+    passed subtrees known to be suppressed: it reads the whole dependent
+    while every leaf it has read is in `suppressed`, the ids the phrases
+    cover. `negate` stands in for negate_subtree."""
     parent = node.parent
     if parent is None or node is not parent.left:
         return False
@@ -783,7 +779,7 @@ def reference_word_rule(node, lexicon, suppressed=frozenset(), negate=None):
             negate(parent.right)
             return True
     if label == "mark":
-        head = node.head.val
+        head = node.head
         if lexicon.is_conditional(head.form) or lexicon.is_conditional(head.lemma):
             negate(parent.right)
             return True
@@ -818,34 +814,52 @@ def word_rule_graph(rng):
 
 
 def test_word_rule_matches_reference_on_random_trees(lexicon, monkeypatch):
+    # the reference advmod/case and mark rules hand their dependent to
+    # reference_word_rule once both children are polarized
     polarize_module = sys.modules["udpolarity.polarize"]
+    rules, react = polarize_module.RULES, polarize_module._react
     negate_subtree = polarize_module.negate_subtree
     rng = random.Random(12)
     calls = long_covered = 0
 
-    def checked(node, lexicon, phrases=None):
+    def word_rule(run, node):
         nonlocal calls, long_covered
-        targets = []
-        expected = reference_word_rule(node, lexicon, cover_of(phrases), targets.append)
-        got = apply_word_rule(node, lexicon, phrases)
-        assert got == expected
-        assert targets == ([node.parent.right] if got else [])
+        dep, phrases = node.left, run.phrases
         calls += 1
-        long_covered += (node.size > lexicon.longest_negation
-                         and phrases is not None and phrases.covers(node))
-        return got
+        long_covered += (dep.size > lexicon.longest_negation
+                         and phrases is not None and phrases.covers(dep))
+        return reference_word_rule(dep, run.lexicon, cover_of(phrases), negate_subtree)
 
-    def reference(node, lexicon, phrases=None):
-        return reference_word_rule(node, lexicon, cover_of(phrases), negate_subtree)
+    def rule_adverbial(run, node):
+        base = node.left.mark = node.right.mark = node.mark
+        if node.right.left is not None:
+            yield node.right
+        if node.left.left is not None:
+            yield node.left
+        if not word_rule(run, node) and node.left.mark is not base:
+            react(node.left, node.right)
 
+    def rule_mark(run, node):
+        node.left.mark = node.right.mark = node.mark
+        if node.right.left is not None:
+            yield node.right
+        if node.left.left is not None:
+            yield node.left
+        word_rule(run, node)
+
+    reference = {**dict.fromkeys(("advmod", "advmod-sent", "case"), rule_adverbial),
+                 "mark": rule_mark}
     for _ in range(1500):
         graph = word_rule_graph(rng)
         marks = []
-        for word_rule in (checked, reference):
-            monkeypatch.setattr(polarize_module, "apply_word_rule", word_rule)
-            tree = binarize(graph)
-            polarize(tree, lexicon)
-            marks.append(project_to_tokens(tree, graph).tokens)
+        for patch in (False, True):
+            with monkeypatch.context() as patched:
+                if patch:
+                    for label, rule in reference.items():
+                        patched.setitem(rules, label, rule)
+                tree = binarize(graph)
+                polarize(tree, lexicon)
+                marks.append(project_to_tokens(tree, graph).tokens)
         assert marks[0] == marks[1], serialize_conllu([graph])
     # the nests hold dependents longer than any negation phrase that the
     # phrases cover whole
