@@ -29,6 +29,16 @@ QuantifierProfile = namedtuple("QuantifierProfile", "surface first_arg second_ar
 
 
 class Lexicon:
+    """The word tables the polarizer reads, and the lookups over them.
+
+    A quantifier or comparative phrase is found by one walk down
+    phrase_trie, word by word (phrases_at); profile is that walk taken to
+    the span's end. phrase_trie, max_phrase_len and longest_negation are
+    built from the tables on first use and kept, so the tables must not
+    change once the lexicon has polarized or answered profile: a
+    quantifier or comparative row added or changed after that is not seen.
+    """
+
     def __init__(self):
         self.quantifiers = {}  # surface tuple -> profile
         self.comparatives = {}  # surface tuple -> profile
@@ -37,19 +47,54 @@ class Lexicon:
         self.conditional_words = set()  # single lowercase words
 
     def profile(self, tokens):
-        """Profile of a contiguous token span, or None. Quantifiers beat
-        comparatives; within a table a literal form beats NUM_WILDCARD,
-        which stands for any NUM token."""
-        keys = [tuple([t.form.lower() for t in tokens])]
-        for i, tok in enumerate(tokens):
-            if tok.upos == "NUM":
-                keys += [key[:i] + (NUM_WILDCARD,) + key[i + 1 :] for key in keys]
-        for table in (self.quantifiers, self.comparatives):
-            for key in keys:
-                profile = table.get(key)
-                if profile is not None:
-                    return profile
-        return None
+        """Profile of a contiguous token span, or None: the walk of
+        phrases_at taken to the span's end."""
+        found = self.phrases_at(tokens)
+        return found[0][1] if found and found[0][0] == len(tokens) else None
+
+    def phrases_at(self, tokens, start=0):
+        """(length, profile) of every span tokens[start:start + length]
+        that has a profile, longest first.
+
+        One walk down phrase_trie, one dict probe for a word that starts
+        no phrase: a token takes the edge of its lowercased form, a NUM
+        token the NUM_WILDCARD edge instead where only that one leads on,
+        or the joined edge where both do. A span's profile is the
+        quantifier that ends at its node or else the comparative.
+        """
+        found = []
+        node = self.phrase_trie
+        for end in range(start, len(tokens)):
+            tok = tokens[end]
+            word = tok.form.lower()
+            child = node.get(word)
+            if tok.upos == "NUM" and NUM_WILDCARD in node:
+                child = node[NUM_WILDCARD] if child is None else node[NUM_WILDCARD, word]
+            if child is None:
+                break
+            node = child
+            profile = node.get(0) or node.get(1)
+            if profile is not None:
+                found.append((end - start + 1, profile))
+        found.reverse()
+        return found
+
+    @cached_property
+    def phrase_trie(self):
+        """The quantifier and comparative phrases as one word trie, built
+        on first use: a node maps each next word of a phrase
+        (NUM_WILDCARD for "n") to its node, 0 and 1 to the quantifier
+        and the comparative profile of the phrase that ends there, and,
+        where NUM_WILDCARD leads on, (NUM_WILDCARD, word) to the node a
+        NUM token of that word reaches (see _joined)."""
+        root = {}
+        for slot, table in enumerate((self.quantifiers, self.comparatives)):
+            for key, profile in table.items():
+                node = root
+                for word in key:
+                    node = node.setdefault(word, {})
+                node[slot] = profile
+        return _joined([root])
 
     @cached_property
     def max_phrase_len(self):
@@ -57,18 +102,6 @@ class Lexicon:
         use like longest_negation."""
         keys = list(self.quantifiers) + list(self.comparatives) + list(self.negation_words)
         return max((len(k) for k in keys), default=1)
-
-    @cached_property
-    def first_words(self):
-        """First word -> word count of the longest quantifier or
-        comparative phrase it starts (NUM_WILDCARD stands for any NUM
-        token): a span has no profile unless its first word is here and it
-        is no longer than that. Collected on first use, like
-        max_phrase_len."""
-        longest = {}
-        for key in chain(self.quantifiers, self.comparatives):
-            longest[key[0]] = max(longest.get(key[0], 0), len(key))
-        return longest
 
     @cached_property
     def longest_negation(self):
@@ -81,6 +114,29 @@ class Lexicon:
 
     def is_conditional(self, word):
         return word.lower() in self.conditional_words
+
+
+def _joined(nodes):
+    """One node of phrase_trie for `nodes`, nodes of the plain trie that
+    one span reaches, in order of precedence: its profiles are the first
+    quantifier and the first comparative among them, and each edge leads
+    to the nodes their edges of that word lead to, joined. A NUM token
+    reaches the nodes its word leads to, then those NUM_WILDCARD leads
+    to, so they stay ordered by wildcard mask (bit j set when the span's
+    j-th NUM token took the wildcard): a literal form beats NUM_WILDCARD,
+    the more so at a later NUM."""
+    node = {}
+    for n in reversed(nodes):
+        for slot in (0, 1):
+            if slot in n:
+                node[slot] = n[slot]
+    wildcard = [n[NUM_WILDCARD] for n in nodes if NUM_WILDCARD in n]
+    for word in {w for n in nodes for w in n if isinstance(w, str)}:
+        literal = [n[word] for n in nodes if word in n]
+        node[word] = _joined(literal)
+        if wildcard:
+            node[NUM_WILDCARD, word] = _joined(literal + wildcard)
+    return node
 
 
 def is_downward_operator(lemma, lexicon):

@@ -37,14 +37,17 @@ with them, and a dependent by its leaf run. The scans of all of a
 sentence's determiners together take time linear in the sentence,
 however they nest, except in a nest whose dependents are not projective:
 a dependent whose ids span k words that start a phrase but are not its
-own costs up to k steps to pass them. The adverbial and mark rules ask
+own costs up to k steps to pass them. The phrases an id starts come from
+one walk down the lexicon's phrase trie (Lexicon.phrases_at), one dict
+probe for a word that starts none, and are kept per id for the
+sentence's later determiners. The adverbial and mark rules ask
 _Phrases whether the phrases cover their dependent, one pointer jump over
 its leaf run.
 """
 
 from collections import namedtuple
 
-from .lexicon import NUM_WILDCARD, is_downward_operator, load_lexicon
+from .lexicon import is_downward_operator, load_lexicon
 from .polarity import (
     _DOWN,
     _FLAT,
@@ -159,7 +162,7 @@ class _Phrases:
         while a <= top:
             found = matches.get(a)
             if found is None:
-                found = matches[a] = self._matches(a)
+                found = matches[a] = self.lexicon.phrases_at(toks, a)
             if not found:
                 live[a] = a + 1
             elif a <= first or lo <= at[a] <= hi:
@@ -171,21 +174,6 @@ class _Phrases:
                         return profile, a, end if end >= head else head - 1
             a = _next(live, a + 1)
         return None
-
-    def _matches(self, a):
-        """(length, profile) of every span of consecutive ids starting at
-        id `a` that has a profile, longest first."""
-        toks, words = self.toks, self.lexicon.first_words
-        tok = toks[a]
-        longest = words.get(tok.form.lower(), 0)
-        if tok.upos == "NUM" and NUM_WILDCARD in words:
-            longest = max(longest, words[NUM_WILDCARD])
-        if not longest:
-            return []
-        span = toks[a:a + longest]
-        profile = self.lexicon.profile
-        found = [(length, profile(span[:length])) for length in range(len(span), 0, -1)]
-        return [match for match in found if match[1] is not None]
 
     def suppress(self, first, last):
         """Add the ids from `first` to `last` to the cover, each at most
@@ -338,7 +326,7 @@ def rule_mark(run, node):
     if node.left.left is not None:
         yield node.left
     word, lexicon = node.left.head, run.lexicon
-    if ((lexicon.is_conditional(word.form) or lexicon.is_conditional(word.lemma))
+    if ((lexicon.is_conditional(word.form) or lexicon.is_conditional(word.lemma or word.form))
             and (run.phrases is None or not run.phrases.covers(node.left))):
         negate_subtree(node.right)
 

@@ -12,6 +12,7 @@ from udpolarity import (
     polarize,
     project_to_tokens,
 )
+from udpolarity.lexicon import NUM_WILDCARD
 
 DATA = pathlib.Path(__file__).parent / "data"
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -53,6 +54,23 @@ def annotate(rows, sent_id="s1"):
 
 def mark_names(annotated):
     return [m.name if m is not None else None for _t, m in annotated.tokens]
+
+
+def reference_profile(lexicon, tokens):
+    """The profile of a token span read key by key: the lowercased forms,
+    then each variant with NUM_WILDCARD for some NUM tokens (variant k
+    replaces the NUM tokens whose bits are set in k, bit j for the j-th),
+    probed in that order in the quantifiers and then in the comparatives."""
+    keys = [tuple([t.form.lower() for t in tokens])]
+    for i, tok in enumerate(tokens):
+        if tok.upos == "NUM":
+            keys += [key[:i] + (NUM_WILDCARD,) + key[i + 1:] for key in keys]
+    for table in (lexicon.quantifiers, lexicon.comparatives):
+        for key in keys:
+            profile = table.get(key)
+            if profile is not None:
+                return profile
+    return None
 
 
 ALL_DOGS_EAT_APPLES = [

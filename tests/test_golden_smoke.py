@@ -4,7 +4,9 @@ The benchmark's input generators (perfbench/workloads.py, imported here
 read-only) and its golden hashes (perfbench/golden/*.sexpr.sha1, the first
 12 hex digits of the SHA-1 of each `polarize --format sexpr` line) pin the
 output of every stage on random trees and on deep chains of up to 400
-tokens.
+tokens. tests/data/wildcard_quantifiers.sexpr.sha1 pins, in the same way,
+the first 2000 pool sentences polarized with the user quantifier table
+tests/data/wildcard_quantifiers.tsv, whose rows have NUM wildcards.
 """
 
 import hashlib
@@ -23,9 +25,10 @@ from udpolarity import (
 )
 from udpolarity.cli import main
 
-from .conftest import PERFBENCH, workloads
+from .conftest import DATA, PERFBENCH, workloads
 
 CORPUS_STRIDE = 50  # every 50th sentence of the 10000-sentence pool
+WILDCARD_STRIDE = 20  # every 20th of the 2000 sentences the user table pins
 
 
 def sexpr_hash(line):
@@ -82,3 +85,20 @@ def test_cli_jobs_match_golden(tmp_path):
         outputs.append(out.getvalue())
     assert outputs[0] == outputs[1]
     assert [sexpr_hash(line) for line in outputs[0].splitlines()] == [d for _, d in cases]
+
+
+def test_user_table_with_wildcards_matches_its_hashes(tmp_path):
+    with open(DATA / "wildcard_quantifiers.sexpr.sha1", encoding="utf-8") as f:
+        rows = [line.split() for line in f]
+    assert [int(i) for i, _ in rows] == list(range(2000))
+    cases = rows[::WILDCARD_STRIDE]
+    path = tmp_path / "slice.conllu"
+    path.write_text("\n".join(workloads.corpus_pool_block(int(i)) for i, _ in cases),
+                    encoding="utf-8")
+    table = str(DATA / "wildcard_quantifiers.tsv")
+    for jobs in ("1", "2"):
+        out, err = io.StringIO(), io.StringIO()
+        code = main(["polarize", "--format", "sexpr", "--lexicon", table, "--jobs", jobs,
+                     str(path)], out=out, err=err)
+        assert (code, err.getvalue()) == (0, "")
+        assert [sexpr_hash(line) for line in out.getvalue().splitlines()] == [d for _, d in cases]

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from udpolarity import (
@@ -11,9 +13,15 @@ from udpolarity import (
     project_to_tokens,
     render_inline,
 )
-from udpolarity.lexicon import bundled_rows, read_rows
+from udpolarity.lexicon import (
+    Lexicon,
+    QuantifierProfile,
+    _surface_key,
+    bundled_rows,
+    read_rows,
+)
 
-from .conftest import annotate, graph_of
+from .conftest import annotate, graph_of, reference_profile
 
 UP, DOWN, FLAT = Polarity.UP, Polarity.DOWN, Polarity.FLAT
 
@@ -130,6 +138,77 @@ def test_user_literal_number_beats_builtin_num_wildcard(tmp_path):
     tree = binarize(graph)
     polarize(tree, lex)
     assert render_inline(project_to_tokens(tree, graph)) == "Exactly↑ two↑ dogs↑ bark↑"
+
+
+# the words of the random tables and spans: numerals in digits and in
+# words, and other words, any of which a span may tag NUM; "n" in a
+# surface stands for any NUM token
+TRIE_WORDS = ["all", "of", "the", "more", "than", "2", "two", "3"]
+
+
+def random_surface(rng, shape):
+    """A table key: `shape` gives the positions of NUM_WILDCARD ("n")."""
+    return " ".join("n" if w else rng.choice(TRIE_WORDS) for w in shape)
+
+
+def random_trie_lexicon(rng):
+    """A lexicon whose tables have multi-word keys with "n" first, in the
+    middle, last and twice, literal numerals beside wildcard rows, and a
+    surface in both tables."""
+    shapes = [(1,), (1, 0), (0, 1, 0), (0, 1), (1, 1), (1, 0, 1), (0,), (0, 0), (0, 0, 0)]
+    surfaces = [random_surface(rng, rng.choice(shapes)) for _ in range(rng.randint(4, 14))]
+    # a literal numeral row beside each of some wildcard rows
+    surfaces += [s.replace("n", rng.choice(["2", "3", "two"]), 1)
+                 for s in surfaces if "n" in s.split() and rng.random() < 0.5]
+    lex = Lexicon()
+    for table, category in ((lex.quantifiers, "other"), (lex.comparatives, "comparative")):
+        for surface in surfaces:
+            if rng.random() < 0.6:
+                key = _surface_key(surface)
+                table[key] = QuantifierProfile(key, UP, UP, category)
+    key = _surface_key(rng.choice(surfaces))  # a surface in both tables
+    lex.quantifiers[key] = QuantifierProfile(key, UP, UP, "other")
+    lex.comparatives[key] = QuantifierProfile(key, UP, UP, "comparative")
+    return lex
+
+
+def random_trie_span(rng):
+    """Tokens of mixed case; numerals and other words are tagged NUM or not."""
+    tokens = []
+    for i in range(1, rng.randint(1, 7)):
+        word = rng.choice(TRIE_WORDS + ["dog"])
+        form = rng.choice([word, word.upper(), word.title()])
+        numeral = word in ("2", "two", "3")
+        upos = "NUM" if rng.random() < (0.8 if numeral else 0.2) else "DET"
+        tokens.append(Token(i, form, word, upos, 0, "dep"))
+    return tokens
+
+
+def test_phrase_walk_matches_reference_profile():
+    rng = random.Random(2104)
+    found = not_literal = both = 0
+    for _ in range(400):
+        lex = random_trie_lexicon(rng)
+        for _ in range(25):
+            tokens = random_trie_span(rng)
+            # as the polarizer indexes them, by id from 1
+            toks = [None] + tokens
+            for start in range(1, len(toks)):
+                expected = []
+                for length in range(len(toks) - start, 0, -1):
+                    span = tokens[start - 1:start - 1 + length]
+                    profile = reference_profile(lex, span)
+                    assert lex.profile(span) == profile
+                    if profile is not None:
+                        expected.append((length, profile))
+                        # the key read by its forms lost to another key
+                        literal = tuple([t.form.lower() for t in span])
+                        not_literal += profile.surface != literal
+                        both += (profile.category == "other"
+                                 and profile.surface in lex.comparatives)
+                assert lex.phrases_at(toks, start) == expected
+                found += bool(expected)
+    assert found > 3000 and not_literal > 1000 and both > 100, (found, not_literal, both)
 
 
 # ------------------------------------------------------- implicatives

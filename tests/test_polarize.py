@@ -31,6 +31,7 @@ from .conftest import (
     graph_of,
     mark_names,
     random_graph,
+    reference_profile,
     workloads,
 )
 
@@ -192,6 +193,18 @@ def test_conditional_negates_antecedent_only():
         ]
     )
     assert inline(ann) == "If↑ you↓ smoke↓ you↑ cough↑"
+
+
+def test_markers_without_a_lemma_read_their_form():
+    # tokens built by hand may have no lemma (serialize_conllu writes "_"):
+    # the mark rule then reads the form, as the complement rule does
+    for marker, expected in (("that", "said↑ that↑ rains↑"), ("if", "said↑ if↑ rains↓")):
+        graph = DependencyGraph([Token(1, "said", None, "VERB", 0, "root"),
+                                 Token(2, marker, None, "SCONJ", 3, "mark"),
+                                 Token(3, "rains", None, "VERB", 1, "ccomp")])
+        tree = binarize(graph)
+        polarize(tree)
+        assert inline(project_to_tokens(tree, graph)) == expected
 
 
 # ---------------------------------------------------------------- determiners
@@ -613,7 +626,7 @@ def reference_scan(det_node, lexicon, tokens_by_id):
             span = seq[anchor : anchor + span_len]
             if span[-1].id - span[0].id != span_len - 1:
                 continue
-            profile = lexicon.profile(span)
+            profile = reference_profile(lexicon, span)
             if profile is None:
                 continue
             # the tokens whose ids lie between the span and the head
