@@ -65,9 +65,10 @@ class BinaryDepTree:
     token ids in the subtree, `size` its leaf count and `head` its head
     word's Token, which is its last leaf's: heads sit on the right spine.
 
-    The back links (each child's `parent` and the root's `_leaves`) make a
-    built tree a reference cycle, which only the cyclic garbage collector
-    frees; `release()` on the root drops them once the tree is done with.
+    Each child's `parent` links it back to its node, for the top-down
+    operators of the rules, so a built tree is a reference cycle.
+    polarize()'s last walk drops the links below the root it polarizes,
+    so reference counting frees the tree it returns.
     """
 
     __slots__ = ("val", "left", "right", "mark", "pending", "parent",
@@ -98,11 +99,11 @@ class BinaryDepTree:
     def leaves(self):
         """The leaves left to right, as a tuple.
 
-        A root keeps its tuple, so the stages after binarization share one
-        walk (polarize() leaves it filled from its own final walk); a
-        subtree walks again on every call, which keeps memory linear in
-        the sentence. Leaf marks are final once `nodes()` has
-        walked the tree, as polarize() does.
+        A root that polarize() marked keeps the tuple its last walk met,
+        so the stages after it share that walk; any other node walks
+        again on every call, which keeps memory linear in the sentence.
+        Leaf marks are final once `nodes()` has walked the tree, as
+        polarize() does.
         """
         if self._leaves is not None:
             return self._leaves
@@ -115,10 +116,7 @@ class BinaryDepTree:
             else:
                 stack.append(node.right)
                 stack.append(node.left)
-        out = tuple(out)
-        if self.parent is None:
-            self._leaves = out
-        return out
+        return tuple(out)
 
     def nodes(self):
         """Every node of the subtree in preorder (node, left, right).
@@ -144,20 +142,6 @@ class BinaryDepTree:
                 stack.append(node.right)
                 stack.append(node.left)
             yield node
-
-    def release(self):
-        """Drop the back links of this root's tree, so that reference
-        counting frees it as soon as it is unreferenced. Call it when no
-        stage reads the tree any more: parents and the leaves tuple are
-        gone afterwards."""
-        self._leaves = None
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            node.parent = None
-            if node.left is not None:
-                stack.append(node.left)
-                stack.append(node.right)
 
     def __repr__(self):
         if self.is_leaf:

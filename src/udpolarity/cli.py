@@ -14,9 +14,9 @@ Exit codes: 0 success, 1 usage or I/O or parse failure, or output that
 could not be written (a closed pipe exits quietly), 2 gold alignment
 failure; with stderr closed, its lines are dropped and the code stays.
 
-Each sentence's tree is released once it is rendered (see `_annotate`),
-so a run leaves the cyclic garbage collector none of its sentences to
-free. `entry`, the process entry, freezes the heap once `main` returns,
+A polarized tree holds no reference cycle (see `polarize`), so a run
+leaves the cyclic garbage collector none of its sentences to free.
+`entry`, the process entry, freezes the heap once `main` returns,
 so the collection at interpreter exit skips every object still alive;
 `main` itself does not, since tests and host programs call it in-process.
 """
@@ -52,7 +52,7 @@ def _annotate(hierarchy, lexicon, fmt, block):
     its (Token, mark) pairs when `fmt` is None; None for a block with no
     tokens, the ConlluError of an invalid one and the MarkError of one the
     polarizer fails on. A worker process returns no tree: pickling one
-    recurses as deep as the tree. The tree is released before returning.
+    recurses as deep as the tree.
     """
     where, line, ordinal, lines = block
     try:
@@ -69,8 +69,6 @@ def _annotate(hierarchy, lexicon, fmt, block):
         return annotated.tokens if fmt is None else render(annotated, fmt)
     except MarkError as exc:
         return MarkError(f"{where}sentence {graph.sent_id}: {exc}")
-    finally:
-        tree.release()
 
 
 def _say(err, line):

@@ -49,7 +49,8 @@ class Polarity(enum.Enum):
 
     @staticmethod
     def from_symbol(sym):
-        mark = _SYMBOLS.get(sym.strip().lower() if len(sym) > 1 else sym)
+        """The mark `sym` spells, read in any case and padding."""
+        mark = _SYMBOLS.get(sym) or _SYMBOLS.get(sym.strip().lower())
         if mark is None:
             raise ValueError(f"unknown polarity symbol {sym!r}")
         return mark

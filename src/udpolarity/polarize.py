@@ -346,7 +346,9 @@ def polarize(tree, lexicon=None):
 
     The root may carry a start mark (↑ when it has none); a tree whose
     root's children are marked already is a MarkError, and so is a tree
-    with a determiner whose token ids do not run 1..n.
+    with a determiner whose token ids do not run 1..n. Returns the tree
+    with no parent link below its root: no rule reads them any more, and
+    without them reference counting frees the tree.
     """
     if lexicon is None:
         lexicon = load_lexicon()
@@ -369,7 +371,8 @@ def polarize(tree, lexicon=None):
                 stack.append(rule(child.val, rule_default)(run, child))
     # the walk resolves every pending operator down to the leaves, as
     # tree.nodes() would, and meets the leaves left to right: a root keeps
-    # them as its leaves() (see BinaryDepTree.leaves)
+    # them as its leaves() (see BinaryDepTree.leaves); it drops the parent
+    # links on the way
     leaves = []
     stack = [tree]
     while stack:
@@ -381,6 +384,7 @@ def polarize(tree, lexicon=None):
         else:
             if node.pending is not None:
                 push(node)
+            node.left.parent = node.right.parent = None
             stack += (node.right, node.left)
     if tree.parent is None:
         tree._leaves = tuple(leaves)

@@ -1,9 +1,11 @@
+import gc
 import importlib.util
 import pathlib
 
 import pytest
 
 from udpolarity import (
+    BinaryDepTree,
     DependencyGraph,
     Token,
     binarize,
@@ -29,6 +31,25 @@ def _load_perfbench_workloads():
 
 
 workloads = _load_perfbench_workloads()
+
+
+def cyclic_garbage(run):
+    """`run()` with the cyclic collector off: what it returns, how many
+    objects it left that only the collector frees, and whether a tree node
+    or a token is among them."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        result = run()
+        found = gc.collect()
+        return result, found, any(isinstance(o, (BinaryDepTree, Token)) for o in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
 
 
 def conllu_block(rows, sent_id="s1", text=None):

@@ -12,10 +12,8 @@ import types
 import pytest
 
 from udpolarity import (
-    BinaryDepTree,
     ConlluError,
     MarkError,
-    Token,
     binarize,
     parse_conllu,
     polarize,
@@ -25,7 +23,7 @@ from udpolarity import (
 from udpolarity import cli
 from udpolarity.cli import main
 
-from .conftest import DATA, conllu_block, workloads
+from .conftest import DATA, conllu_block, cyclic_garbage, workloads
 
 FIG1 = conllu_block(
     [
@@ -885,22 +883,9 @@ def inputs(tmp_path_factory):
 
 
 def _cyclic_garbage(argv):
-    """`main(argv)` with the cyclic collector off: its exit code, how many
-    objects it left that only the collector frees, and whether a tree node
-    or a token is among them."""
-    enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    gc.set_debug(gc.DEBUG_SAVEALL)
-    try:
-        code = main(argv, out=io.StringIO(), err=io.StringIO())
-        found = gc.collect()
-        return code, found, any(isinstance(o, (BinaryDepTree, Token)) for o in gc.garbage)
-    finally:
-        gc.set_debug(0)
-        gc.garbage.clear()
-        if enabled:
-            gc.enable()
+    """`cyclic_garbage` of `main(argv)`, its output dropped: the exit code
+    comes first."""
+    return cyclic_garbage(lambda: main(argv, out=io.StringIO(), err=io.StringIO()))
 
 
 def _failing_odd_trees(tree, lexicon):
@@ -919,7 +904,7 @@ def _failing_odd_trees(tree, lexicon):
     (["polarize", "--lenient", "--format", "tsv"], "mark-error"),
 ], ids=["inline", "tsv", "sexpr", "dot", "eval", "lenient", "eval-lenient", "mark-error"])
 def test_a_run_leaves_no_cyclic_garbage_from_its_sentences(monkeypatch, inputs, argv, kind):
-    # each sentence's tree is released once it is rendered, so reference
+    # polarize() leaves each sentence's tree acyclic, so reference
     # counting frees it: what the collector finds is argparse's, as much
     # after 2000 sentences as after 10, and no tree or token is in it
     if kind == "mark-error":

@@ -346,3 +346,25 @@ def test_product_commutes_and_associates():
             assert a * b is b * a
             for c in Polarity:
                 assert (a * b) * c is a * (b * c)
+
+
+# ------------------------------------------------------------ spellings
+# gold files and quantifier tables spell a mark as ↑ ↓ =, ^ v = or
+# up down flat, in any case, padded or not
+
+@pytest.mark.parametrize("mark, spellings", [
+    (Polarity.UP, ["↑", "^", "up"]),
+    (Polarity.DOWN, ["↓", "v", "down"]),
+    (Polarity.FLAT, ["=", "flat"]),
+], ids=["up", "down", "flat"])
+def test_every_spelling_reads_in_any_case_and_padding(mark, spellings):
+    for word in spellings:
+        for cased in (word, word.upper(), word.capitalize()):
+            for padded in (cased, f" {cased}", f"{cased} ", f" {cased}  "):
+                assert Polarity.from_symbol(padded) is mark, padded
+
+
+@pytest.mark.parametrize("sym", ["", " ", "x", "V V", "upp", "↑↑"])
+def test_an_unknown_spelling_is_refused(sym):
+    with pytest.raises(ValueError, match="unknown polarity symbol"):
+        Polarity.from_symbol(sym)

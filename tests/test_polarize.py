@@ -17,6 +17,7 @@ from udpolarity import (
     parse_conllu,
     polarize,
     project_to_tokens,
+    render,
     serialize_conllu,
     to_sexpression,
 )
@@ -25,9 +26,11 @@ from udpolarity.polarize import DETERMINER_RELATIONS, _Phrases
 
 from .conftest import (
     ALL_DOGS_EAT_APPLES,
+    DATA,
     NO_STUDENT_REFUSED,
     annotate,
     conllu_block,
+    cyclic_garbage,
     graph_of,
     mark_names,
     random_graph,
@@ -561,25 +564,48 @@ def fresh_leaves(tree):
     return tuple(out)
 
 
-def test_polarize_leaves_the_roots_leaves_cached(mini_corpus):
-    # the final walk of polarize() meets every leaf left to right and keeps
-    # them, so project_to_tokens walks the tree no more
-    blocks = [workloads.corpus_pool_block(i) for i in range(0, workloads.CORPUS_POOL, 50)]
-    blocks += [
+def sample_texts():
+    """The mini corpus, every 50th corpus-pool sentence and the deep ladder,
+    as CoNLL-U texts."""
+    texts = [(DATA / "mini_corpus.conllu").read_text("utf-8")]
+    texts += [workloads.corpus_pool_block(i) for i in range(0, workloads.CORPUS_POOL, 50)]
+    texts += [
         workloads.deep_block(workloads.deep_key(kind, n, 0))
         for kind in workloads.DEEP_KINDS
         for n, _count in workloads.DEEP_LADDER
     ]
-    graphs = list(mini_corpus) + [parse_conllu(block)[0] for block in blocks]
+    return texts
+
+
+def test_polarize_leaves_the_roots_leaves_cached():
+    # the final walk of polarize() meets every leaf left to right and keeps
+    # them, so project_to_tokens walks the tree no more; it drops every
+    # parent link below the root on the way
     lexicon = load_lexicon()
-    for graph in graphs:
+    for graph in [graph for text in sample_texts() for graph in parse_conllu(text)]:
         tree = binarize(graph)
         assert tree._leaves is None
         polarize(tree, lexicon)
         assert tree._leaves == fresh_leaves(tree)
         assert tree.leaves() is tree._leaves
-        tree.release()
-        assert tree._leaves is None
+        assert [node.parent for node in tree.nodes()] == [None] * (2 * tree.size - 1)
+
+
+def test_the_library_path_leaves_no_cyclic_garbage():
+    # a polarized tree holds no reference cycle, so reference counting
+    # frees each sentence's objects: with the cyclic collector off, it
+    # finds nothing after the whole path, no tree node and no token
+    texts = sample_texts()
+    lexicon = load_lexicon()
+    hierarchy = RelationHierarchy.default()
+
+    def library_path():
+        for text in texts:
+            for graph in parse_conllu(text):
+                tree = polarize(binarize(graph, hierarchy), lexicon)
+                render(project_to_tokens(tree, graph), "sexpr")
+
+    assert cyclic_garbage(library_path) == (None, 0, False)
 
 
 def test_subtree_polarized_alone_keeps_no_leaves():
@@ -587,6 +613,7 @@ def test_subtree_polarized_alone_keeps_no_leaves():
     subtree = tree.right
     assert subtree.left is not None and subtree.parent is tree
     polarize(subtree)
+    assert subtree.parent is tree
     assert subtree._leaves is None and tree._leaves is None
     assert subtree.leaves() == fresh_leaves(subtree)
     assert subtree._leaves is None
