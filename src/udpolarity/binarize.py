@@ -172,17 +172,10 @@ def refine_relation(deprel, head, dependent, graph):
     return "conj-np"
 
 
-def _rank(level, label, token):
-    """The (level-id, token id, label) key that orders a head's dependents,
-    `level` being a hierarchy's `levels.get`. A sentence's ids are unique,
-    so binarize sorts these tuples in C and never compares the label."""
-    return level(label, DEFAULT_UNKNOWN_LEVEL), token.id, label
-
-
 def sort_children(children, hierarchy):
     """Order (relation, token) pairs by level-id, ties by token id."""
     level = hierarchy.levels.get
-    return sorted(children, key=lambda pair: _rank(level, *pair)[:2])
+    return sorted(children, key=lambda pair: (level(pair[0], DEFAULT_UNKNOWN_LEVEL), pair[1].id))
 
 
 def binarize(graph, hierarchy=None):
@@ -199,8 +192,9 @@ def binarize(graph, hierarchy=None):
     root = graph_root(graph)
     children, level = graph._children, hierarchy.levels.get
     # composing the breadth-first order backwards builds every dependent's
-    # subtree before its head's spine needs it
-    built = {}
+    # subtree before its head's spine needs it; built[i] is token i's
+    # subtree (a graph's ids run 1..n)
+    built = [None] * (len(graph.tokens) + 1)
     for token in reversed(graph.order):
         node = BinaryDepTree(token)
         kids = children.get(token.id)
@@ -213,13 +207,14 @@ def binarize(graph, hierarchy=None):
                 elif (token is root and label in ("advcl", "advmod")
                       and built[child.id].min_id == 1):
                     label += "-sent"
-                deps.append(_rank(level, label, child))
+                # ids are unique, so sorting these keys never compares labels
+                deps.append((level(label, DEFAULT_UNKNOWN_LEVEL), child.id, label))
             if len(deps) == 1:  # the loop's label and child
-                node = BinaryDepTree(label, built.pop(child.id), node)
+                node = BinaryDepTree(label, built[child.id], node)
             else:
                 deps.sort()
                 for _level, cid, label in reversed(deps):
-                    node = BinaryDepTree(label, built.pop(cid), node)
+                    node = BinaryDepTree(label, built[cid], node)
         built[token.id] = node
     return built[root.id]
 
@@ -247,6 +242,6 @@ def to_sexpression(tree):
             first, second = item.left, item.right
             if second.min_id < first.min_id:
                 first, second = second, first
-            parts.append("(" + item.val + _SUFFIX[item.mark] + " ")
+            parts += ("(", item.val, _SUFFIX[item.mark], " ")
             stack += (")", second, " ", first)
     return "".join(parts)

@@ -28,11 +28,14 @@ _tuple_new = tuple.__new__  # builds a Token in C, not in its Python __new__
 
 class DependencyGraph:
     """One sentence: tokens plus the head/deprel edges they carry. Tokens
-    that do not form a tree are a ValidationError naming the first fault."""
+    that do not form a tree are a ValidationError naming the first fault.
+    A `sentence_text` of None stands for the forms joined by spaces,
+    joined when first read."""
 
     def __init__(self, tokens, sentence_text="", sent_id=""):
         self.tokens = tokens
-        self.sentence_text = sentence_text
+        if sentence_text is not None:
+            self.sentence_text = sentence_text
         self.sent_id = sent_id
         # head id -> its dependents in token-id order (a Token's id leads
         # the tuple, so sorting the tokens sorts every head's dependents)
@@ -47,6 +50,11 @@ class DependencyGraph:
         if (len(ids) != n or len(children.get(0, ())) != 1 or min(ids) < 1 or max(ids) != n
                 or not all([t.deprel for t in tokens]) or len(self.order) != n):
             raise ValidationError(f"sentence {sent_id or '?'}: {_fault(self)}")
+
+    @cached_property
+    def sentence_text(self):
+        """The forms joined by spaces, for a graph made with no text."""
+        return " ".join([t.form for t in self.tokens])
 
     @cached_property
     def relations(self):
@@ -195,8 +203,8 @@ def _parse_block(lines, first_line, ordinal):
     if not tokens:
         return None
     sent_id = comments.get("sent_id") or str(ordinal)
-    text = comments.get("text") or " ".join([t.form for t in tokens])
-    return DependencyGraph(tokens, text, sent_id)
+    # without a non-empty `# text`, the forms joined when the text is read
+    return DependencyGraph(tokens, comments.get("text") or None, sent_id)
 
 
 def parse_conllu(text, first_line=1, first_sentence=1):

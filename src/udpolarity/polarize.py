@@ -47,7 +47,7 @@ its leaf run.
 
 from collections import namedtuple
 
-from .lexicon import is_downward_operator, load_lexicon
+from .lexicon import load_lexicon
 from .polarity import (
     _DOWN,
     _FLAT,
@@ -237,7 +237,7 @@ def rule_argument(run, node):
         yield node.left
     if node.val in COMPLEMENT_RELATIONS:
         verb = node.right.head
-        if is_downward_operator(verb.lemma or verb.form, run.lexicon):
+        if run.lexicon.implicatives.get((verb.lemma or verb.form).lower(), False):
             negate_subtree(node.left)
 
 
@@ -304,7 +304,7 @@ def rule_adverbial(run, node):
         yield node.right
     dep, lexicon = node.left, run.lexicon
     if dep.left is None:
-        fires = lexicon.is_negation_phrase((dep.val.form,))
+        fires = (dep.val.form.lower(),) in lexicon.negation_words
     else:
         yield dep
         # a Token's id leads its tuple, and ids are unique: sorting the
@@ -397,11 +397,10 @@ def project_to_tokens(tree, graph):
     Punctuation tokens are carried with a None mark (unscored); every other
     token must be marked.
     """
-    marks = {}
+    marks = [None] * (len(graph.tokens) + 1)  # id -> mark (ids run 1..n)
     for leaf in tree.leaves():
         tok = leaf.val
-        if tok.is_punct:
-            marks[tok.id] = None
+        if tok.upos == "PUNCT" or tok.deprel == "punct":  # tok.is_punct, without its call
             continue
         if leaf.mark is None:
             raise MarkError(f"token {tok.id} ({tok.form!r}) has no mark")

@@ -33,6 +33,23 @@ def _load_perfbench_workloads():
 workloads = _load_perfbench_workloads()
 
 
+def punct_pool_block(index):
+    """Corpus pool sentence `index` with punctuation by a fixed rule: upos
+    PUNCT on every 7th id and deprel punct on every 5th, so id 35 has
+    both. The pool itself has no punctuation."""
+    lines = []
+    for line in workloads.corpus_pool_block(index).split("\n"):
+        cols = line.split("\t")
+        if len(cols) == 10:
+            tid = int(cols[0])
+            if tid % 7 == 0:
+                cols[3] = "PUNCT"
+            if tid % 5 == 0:
+                cols[7] = "punct"
+        lines.append("\t".join(cols))
+    return "\n".join(lines)
+
+
 def cyclic_garbage(run):
     """`run()` with the cyclic collector off: what it returns, how many
     objects it left that only the collector frees, and whether a tree node

@@ -123,6 +123,28 @@ def test_sentence_text_defaults_to_joined_forms():
     assert g.sentence_text == "Run fast"
 
 
+RUN_FAST = [(1, "Run", "run", "VERB", 0, "root"), (2, "fast", "fast", "ADV", 1, "advmod")]
+RUN_FAST_ROWS = "1\tRun\trun\tVERB\t_\t_\t0\troot\t_\t_\n2\tfast\tfast\tADV\t_\t_\t1\tadvmod\t_\t_\n"
+
+
+@pytest.mark.parametrize(
+    "comment, text",
+    [("# text = Run fast!\n", "Run fast!"), ("# text =\n", "Run fast"), ("", "Run fast")],
+    ids=["text", "empty-text", "no-comment"],
+)
+def test_sentence_text_of_a_parsed_sentence(comment, text):
+    # a non-empty `# text` wins; otherwise the forms joined by spaces
+    (graph,) = parse_conllu("# sent_id = s1\n" + comment + RUN_FAST_ROWS)
+    assert graph.sentence_text == text
+    assert serialize_conllu([graph]) == f"# sent_id = s1\n# text = {text}\n" + RUN_FAST_ROWS
+
+
+def test_sentence_text_of_a_hand_built_graph_stays_empty():
+    graph = DependencyGraph([Token(*row) for row in RUN_FAST])
+    assert graph.sentence_text == ""
+    assert serialize_conllu([graph]) == RUN_FAST_ROWS
+
+
 def test_graph_root_single_token():
     g = graph_of([(1, "Run", "run", "VERB", 0, "root")])
     assert graph_root(g).form == "Run"

@@ -7,6 +7,9 @@ output of every stage on random trees and on deep chains of up to 400
 tokens. tests/data/wildcard_quantifiers.sexpr.sha1 pins, in the same way,
 the first 2000 pool sentences polarized with the user quantifier table
 tests/data/wildcard_quantifiers.tsv, whose rows have NUM wildcards.
+tests/data/pool_punct.tsv.sha1 pins the `polarize --format tsv` block of
+each of the first 2000 pool sentences given punctuation by
+punct_pool_block: the pool has none, and only the projection reads it.
 """
 
 import hashlib
@@ -25,10 +28,11 @@ from udpolarity import (
 )
 from udpolarity.cli import main
 
-from .conftest import DATA, PERFBENCH, workloads
+from .conftest import DATA, PERFBENCH, punct_pool_block, workloads
 
 CORPUS_STRIDE = 50  # every 50th sentence of the 10000-sentence pool
 WILDCARD_STRIDE = 20  # every 20th of the 2000 sentences the user table pins
+PUNCT_STRIDE = 20  # every 20th of the 2000 punctuated sentences
 
 
 def sexpr_hash(line):
@@ -102,3 +106,19 @@ def test_user_table_with_wildcards_matches_its_hashes(tmp_path):
                      str(path)], out=out, err=err)
         assert (code, err.getvalue()) == (0, "")
         assert [sexpr_hash(line) for line in out.getvalue().splitlines()] == [d for _, d in cases]
+
+
+def test_punctuated_pool_matches_its_tsv_hashes(tmp_path):
+    with open(DATA / "pool_punct.tsv.sha1", encoding="utf-8") as f:
+        rows = [line.split() for line in f]
+    assert [int(i) for i, _ in rows] == list(range(2000))
+    cases = rows[::PUNCT_STRIDE]
+    path = tmp_path / "slice.conllu"
+    path.write_text("\n".join(punct_pool_block(int(i)) for i, _ in cases), encoding="utf-8")
+    for jobs in ("1", "2"):
+        out, err = io.StringIO(), io.StringIO()
+        code = main(["polarize", "--format", "tsv", "--jobs", jobs, str(path)], out=out, err=err)
+        assert (code, err.getvalue()) == (0, "")
+        blocks = out.getvalue().split("\n\n")
+        assert blocks.pop() == ""
+        assert [sexpr_hash(block) for block in blocks] == [d for _, d in cases]

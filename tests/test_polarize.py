@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from udpolarity import (
+    AnnotatedSentence,
     BinaryDepTree,
     DependencyGraph,
     MarkError,
@@ -543,6 +544,45 @@ def test_punctuation_is_unscored():
         ]
     )
     assert mark_names(ann) == ["UP", None]
+
+
+def reference_project(tree, graph):
+    """project_to_tokens as it was with a dict of marks by id and a call
+    of Token.is_punct per token."""
+    marks = {}
+    for leaf in tree.leaves():
+        tok = leaf.val
+        if tok.is_punct:
+            marks[tok.id] = None
+            continue
+        if leaf.mark is None:
+            raise MarkError(f"token {tok.id} ({tok.form!r}) has no mark")
+        marks[tok.id] = leaf.mark
+    return AnnotatedSentence(tokens=[(tok, marks[tok.id]) for tok in graph.tokens], tree=tree)
+
+
+def punct_graph(rng):
+    """random_graph with punctuation: each token keeps its upos and deprel,
+    or takes upos PUNCT, deprel punct, or both."""
+    tokens = []
+    for tok in random_graph(rng, rng.randint(1, 30)).tokens:
+        kind = rng.randrange(4)
+        tokens.append(tok._replace(upos="PUNCT" if kind & 1 else tok.upos,
+                                   deprel="punct" if kind & 2 else tok.deprel))
+    return DependencyGraph(tokens)
+
+
+def test_projection_matches_reference_on_punctuation(mini_corpus, lexicon):
+    rng = random.Random(25)
+    kinds = set()  # (upos PUNCT, deprel punct) of the tokens seen
+    for graph in list(mini_corpus) + [punct_graph(rng) for _ in range(400)]:
+        tree = polarize(binarize(graph), lexicon)
+        annotated = project_to_tokens(tree, graph)
+        assert annotated == reference_project(tree, graph)
+        for tok, mark in annotated.tokens:
+            assert (mark is None) == tok.is_punct
+            kinds.add((tok.upos == "PUNCT", tok.deprel == "punct"))
+    assert len(kinds) == 4
 
 
 def test_project_unmarked_leaf_is_error():
