@@ -43,7 +43,6 @@ from .lexicon import (
     Lexicon,
     LexiconError,
     QuantifierProfile,
-    is_downward_operator,
     load_lexicon,
 )
 from .polarity import (
@@ -84,7 +83,6 @@ __all__ = [
     "equalize_subtree",
     "evaluate",
     "graph_root",
-    "is_downward_operator",
     "is_key_token",
     "load_gold",
     "load_lexicon",

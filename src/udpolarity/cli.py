@@ -49,10 +49,10 @@ def _annotate(hierarchy, lexicon, fmt, block):
     polarize and project.
 
     Returns the sentence rendered in `fmt` (a DOT graph numbered 0), or
-    its (Token, mark) pairs when `fmt` is None; None for a block with no
-    tokens, the ConlluError of an invalid one and the MarkError of one the
-    polarizer fails on. A worker process returns no tree: pickling one
-    recurses as deep as the tree.
+    its ((id, form), mark) pairs when `fmt` is None; None for a block with
+    no tokens, the ConlluError of an invalid one and the MarkError of one
+    the polarizer fails on. A worker returns no tree (its pickling recurses
+    as deep as the tree) and no Token (its pickling runs Python per token).
     """
     where, line, ordinal, lines = block
     try:
@@ -66,7 +66,7 @@ def _annotate(hierarchy, lexicon, fmt, block):
     try:
         polarize(tree, lexicon)
         annotated = project_to_tokens(tree, graph)
-        return annotated.tokens if fmt is None else render(annotated, fmt)
+        return render(annotated, fmt) if fmt else [(tok[:2], mark) for tok, mark in annotated.tokens]
     except MarkError as exc:
         return MarkError(f"{where}sentence {graph.sent_id}: {exc}")
 
@@ -258,9 +258,8 @@ def cmd_eval(args, out, err):
         _say(err, f"error: {exc}")
         return EXIT_ERROR
     if args.key_only:
-        pairs = [
-            [t for t in sent if ev.is_key_token(t.upos)] for sent in pairs
-        ]
+        key = ev.KEY_UPOS
+        pairs = [[t for t in sent if t.upos in key] for sent in pairs]
     report = ev.evaluate(pairs)
     print(ev.render_report(report), file=out)
     print(file=out)

@@ -9,8 +9,8 @@ tokens (mark None on the prediction side) are excluded throughout.
 
 from collections import namedtuple
 
-from .conllu import read_text, sentence_blocks
-from .polarity import Polarity
+from .conllu import read_text
+from .polarity import _SYMBOLS, Polarity
 
 KEY_UPOS = {"NOUN", "PROPN", "VERB", "ADJ", "ADV", "DET", "NUM"}
 
@@ -28,11 +28,10 @@ GoldSentence = namedtuple("GoldSentence", "sent_id tokens")
 
 
 class ScoredToken:
+    __slots__ = ("form", "upos", "predicted", "gold")  # predicted: Polarity | None (unscored)
+
     def __init__(self, form, upos, predicted, gold):
-        self.form = form
-        self.upos = upos
-        self.predicted = predicted  # Polarity | None (None = unscored)
-        self.gold = gold
+        self.form, self.upos, self.predicted, self.gold = form, upos, predicted, gold
 
 
 # prf_all, prf_key: Polarity -> (precision|None, recall|None, f1|None);
@@ -49,9 +48,10 @@ def is_key_token(upos):
 def align(predicted, gold):
     """Pair system output with gold sentences, checking token identity.
 
-    `predicted` holds the (Token, mark) pairs of each sentence (the
-    `tokens` of an AnnotatedSentence), `gold` a list of GoldSentence in the
-    same order. Returns the pair lists consumed by the metric functions.
+    `predicted` holds each sentence's (token, mark) pairs, a token being
+    a Token (the `tokens` of an AnnotatedSentence) or any tuple that starts
+    with its id and form, as the CLI sends; `gold` a list of GoldSentence
+    in the same order. Returns the pair lists consumed by the metric functions.
     """
     if len(predicted) != len(gold):
         raise AlignmentError(
@@ -66,56 +66,64 @@ def align(predicted, gold):
             )
         sent = []
         for (tok, mark), (form, upos, gmark) in zip(tokens, gs.tokens):
-            if tok.form != form:
+            if tok[1] != form:
                 raise AlignmentError(
-                    f"sentence {gs.sent_id}: token {tok.id} form {tok.form!r} "
+                    f"sentence {gs.sent_id}: token {tok[0]} form {tok[1]!r} "
                     f"does not match gold {form!r}"
                 )
-            sent.append(ScoredToken(form=form, upos=upos, predicted=mark, gold=gmark))
+            sent.append(ScoredToken(form, upos, mark, gmark))
         pairs.append(sent)
     return pairs
 
 
-def _scope(pairs, key_only):
+def _scopes(pairs):
     """(token accuracy, sentence accuracy, P/R/F1 per label, scored tokens)
-    of one scope, all tokens or key tokens only, from one pass that counts
-    the scored tokens per (gold, predicted) pair of marks and the sentences
-    whose scored tokens are all right."""
-    cells = dict.fromkeys([(g, p) for g in LABELS for p in LABELS], 0)
-    right = 0
+    of all tokens and of key tokens only, from one pass that counts the
+    scored tokens per (gold mark, predicted mark, is key) and, in each
+    scope, the sentences whose scored tokens are all right."""
+    cells = dict.fromkeys([(g, p, k) for g in LABELS for p in LABELS for k in (False, True)], 0)
+    right_all = right_key = 0
     for sent in pairs:
-        wrong = False
+        wrong_all = wrong_key = False
         for tok in sent:
             predicted = tok.predicted
-            if predicted is None or key_only and tok.upos not in KEY_UPOS:
-                continue  # unscored (punctuation), or not a key token
-            cells[tok.gold, predicted] += 1
-            wrong = wrong or predicted is not tok.gold
-        right += not wrong
-    prf = {}
-    for lab in LABELS:
-        tp = cells[lab, lab]
-        as_predicted = sum(cells[gold, lab] for gold in LABELS)
-        in_gold = sum(cells[lab, pred] for pred in LABELS)
-        p = 100.0 * tp / as_predicted if as_predicted else None
-        r = 100.0 * tp / in_gold if in_gold else None
-        f1 = None if p is None or r is None else (2 * p * r / (p + r) if p + r else 0.0)
-        prf[lab] = (p, r, f1)
-    tokens = sum(cells.values())
-    correct = sum(cells[lab, lab] for lab in LABELS)
-    token_acc = 100.0 * correct / tokens if tokens else 100.0
-    sent_acc = 100.0 * right / len(pairs) if pairs else 100.0
-    return token_acc, sent_acc, prf, tokens
+            if predicted is None:
+                continue  # unscored (punctuation)
+            key = tok.upos in KEY_UPOS
+            cells[tok.gold, predicted, key] += 1
+            if predicted is not tok.gold:
+                wrong_all = True
+                wrong_key = wrong_key or key
+        right_all += not wrong_all
+        right_key += not wrong_key
+    figures = []
+    for keys, right in (((False, True), right_all), ((True,), right_key)):
+        scope = {(g, p): sum(cells[g, p, k] for k in keys) for g in LABELS for p in LABELS}
+        prf = {}
+        for lab in LABELS:
+            tp = scope[lab, lab]
+            as_predicted = sum(scope[gold, lab] for gold in LABELS)
+            in_gold = sum(scope[lab, pred] for pred in LABELS)
+            p = 100.0 * tp / as_predicted if as_predicted else None
+            r = 100.0 * tp / in_gold if in_gold else None
+            f1 = None if p is None or r is None else (2 * p * r / (p + r) if p + r else 0.0)
+            prf[lab] = (p, r, f1)
+        tokens = sum(scope.values())
+        correct = sum(scope[lab, lab] for lab in LABELS)
+        token_acc = 100.0 * correct / tokens if tokens else 100.0
+        sent_acc = 100.0 * right / len(pairs) if pairs else 100.0
+        figures.append((token_acc, sent_acc, prf, tokens))
+    return figures
 
 
 def token_accuracy(pairs, key_only=False):
     """Percentage of scored tokens whose predicted mark equals gold."""
-    return _scope(pairs, key_only)[0]
+    return _scopes(pairs)[bool(key_only)][0]
 
 
 def sentence_accuracy(pairs, key_only=False):
     """Percentage of sentences with every scored token correct."""
-    return _scope(pairs, key_only)[1]
+    return _scopes(pairs)[bool(key_only)][1]
 
 
 def prf_per_label(pairs, key_only=False):
@@ -124,40 +132,40 @@ def prf_per_label(pairs, key_only=False):
     A component is None ("n/a") when its denominator is empty, rather than
     a silently deflating zero.
     """
-    return _scope(pairs, key_only)[2]
+    return _scopes(pairs)[bool(key_only)][2]
 
 
 def evaluate(pairs):
     """Full report: both accuracy levels and per-label robustness, from
-    one pass over each scope."""
-    tok_all, sent_all, prf_all, n_all = _scope(pairs, False)
-    tok_key, sent_key, prf_key, n_key = _scope(pairs, True)
+    one pass over the pairs."""
+    (tok_all, sent_all, prf_all, n_all), (tok_key, sent_key, prf_key, n_key) = _scopes(pairs)
     counts = {"sentences": len(pairs), "tokens_scored_all": n_all, "tokens_scored_key": n_key}
     return EvalReport(tok_all, tok_key, sent_all, sent_key, prf_all, prf_key, counts)
 
 
 def load_gold(path):
     """Read a gold file: sent_id<TAB>form<TAB>upos<TAB>mark per token,
-    blank line between sentences."""
+    blank line between sentences, one pass over its lines."""
     sentences = []
-    for first_line, _ordinal, lines in sentence_blocks(read_text(path)):
-        tokens = []
-        for lineno, line in enumerate(lines, start=first_line):
-            if line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise ValueError(f"gold line {lineno}: expected 4 tab-separated fields")
-            sid, form, upos, mark = parts
+    tokens = []
+    for lineno, line in enumerate([*read_text(path).split("\n"), ""], start=1):
+        if "#" in line and line.lstrip().startswith("#"):
+            continue
+        if line.strip():
             try:
-                pol = Polarity.from_symbol(mark)
+                sid, form, upos, mark = line.split("\t")
+            except ValueError:
+                raise ValueError(f"gold line {lineno}: expected 4 tab-separated fields") from None
+            try:
+                pol = _SYMBOLS.get(mark) or Polarity.from_symbol(mark)
             except ValueError as exc:
                 raise ValueError(f"gold line {lineno}: {exc}") from None
             if not tokens:
                 sent_id = sid
             tokens.append((form, upos, pol))
-        if tokens:
-            sentences.append(GoldSentence(sent_id=sent_id, tokens=tokens))
+        elif tokens:  # a blank or whitespace-only line, or the "" after the last, ends it
+            sentences.append(GoldSentence(sent_id, tokens))
+            tokens = []
     return sentences
 
 

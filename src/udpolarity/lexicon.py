@@ -139,11 +139,6 @@ def _joined(nodes):
     return node
 
 
-def is_downward_operator(lemma, lexicon):
-    """True iff the lemma carries a downward-entailing implicative entry."""
-    return lexicon.implicatives.get(lemma.lower(), False)
-
-
 def _surface_key(surface):
     words = tuple(NUM_WILDCARD if w == "n" else w for w in surface.lower().split())
     if not words:

@@ -200,6 +200,42 @@ def test_eval_key_only_flag(tmp_path):
     assert "token_accuracy_all=100.000000" in out
 
 
+def eval_at_any_jobs(argv):
+    """`eval`'s (exit code, stdout, stderr) at --jobs 1, which --jobs 2 and
+    --jobs 3 must repeat."""
+    runs = [run_cli([*argv, "--jobs", jobs]) for jobs in ("1", "2", "3")]
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    return runs[0]
+
+
+def test_eval_is_the_same_at_any_jobs(tmp_path):
+    mini = (DATA / "mini_corpus.conllu").read_text("utf-8")
+    mini_gold = (DATA / "mini_gold.tsv").read_text("utf-8")
+    # the mini corpus replicated, with invalid blocks injected
+    origins, blocks, gold_blocks = workloads.gold(1, mini, mini_gold)
+    conllu = write(tmp_path, "gold.conllu", "\n".join(blocks))
+    gold = write(tmp_path, "gold.tsv", "\n\n".join(g for g in gold_blocks if g) + "\n")
+    for flags in ([], ["--key-only"]):
+        code, out, err = eval_at_any_jobs(["eval", "--lenient", *flags, "--gold", gold, conllu])
+        assert code == 0
+        assert f"\nsentences={len(origins) - origins.count(None)}\n" in out
+        skips = err.splitlines()
+        assert len(skips) == origins.count(None) > 0
+        assert all(line.startswith("skipping sentence: ") for line in skips)
+    # a form mismatch in the last sentence, which the last run (a worker's) reads
+    corpus = str(DATA / "mini_corpus.conllu")
+    wrong = write(tmp_path, "wrong.tsv", mini_gold.replace("\tnews\tNOUN", "\tnewt\tNOUN"))
+    assert eval_at_any_jobs(["eval", "--gold", wrong, corpus]) == (
+        2, "", "alignment error: sentence s4-newspapers: token 8 form 'news' "
+               "does not match gold 'newt'\n"
+    )
+    # a gold file one sentence short
+    short = write(tmp_path, "short.tsv", mini_gold[: mini_gold.rindex("\n\ns4-newspapers")] + "\n")
+    assert eval_at_any_jobs(["eval", "--gold", short, corpus]) == (
+        2, "", "alignment error: 10 predicted sentences vs 9 gold sentences\n"
+    )
+
+
 def test_cli_matches_staged_pipeline(mini_corpus, tmp_path):
     code, out, _ = run_cli(["polarize", str(DATA / "mini_corpus.conllu")])
     assert code == 0

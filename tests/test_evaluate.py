@@ -321,8 +321,23 @@ def test_align_length_mismatch():
 def test_align_form_mismatch():
     ann = _annotated_stub(["a", "b"])
     gold = [GoldSentence("g1", [("a", "NOUN", UP), ("c", "NOUN", UP)])]
-    with pytest.raises(AlignmentError, match="g1"):
-        align([ann.tokens], gold)
+    # (Token, mark) pairs, and the ((id, form), mark) pairs the CLI sends
+    for tokens in (ann.tokens, [(tok[:2], mark) for tok, mark in ann.tokens]):
+        with pytest.raises(AlignmentError) as info:
+            align([tokens], gold)
+        assert str(info.value) == "sentence g1: token 2 form 'b' does not match gold 'c'"
+
+
+def test_align_reads_a_token_by_its_id_and_form():
+    ann = _annotated_stub(["a", "b"])
+    gold = [GoldSentence("g1", [("a", "NOUN", UP), ("b", "VERB", DOWN)])]
+    scored = [
+        [(t.form, t.upos, t.predicted, t.gold) for t in sent]
+        for tokens in (ann.tokens, [((tok.id, tok.form), mark) for tok, mark in ann.tokens])
+        for sent in align([tokens], gold)
+    ]
+    marks = [mark for _tok, mark in ann.tokens]
+    assert scored[0] == scored[1] == [("a", "NOUN", marks[0], UP), ("b", "VERB", marks[1], DOWN)]
 
 
 # ------------------------------------------------------------ report text

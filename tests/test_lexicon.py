@@ -7,7 +7,6 @@ from udpolarity import (
     Polarity,
     Token,
     binarize,
-    is_downward_operator,
     load_lexicon,
     polarize,
     project_to_tokens,
@@ -140,6 +139,31 @@ def test_user_literal_number_beats_builtin_num_wildcard(tmp_path):
     assert render_inline(project_to_tokens(tree, graph)) == "Exactly↑ two↑ dogs↑ bark↑"
 
 
+def test_quantifier_rows_are_read_until_the_first_polarize():
+    # the phrase trie is built at a lexicon's first polarize() and kept:
+    # a row added before it changes the marks, a row added after it does not
+    rows = [
+        (1, "zorp", "zorp", "DET", 2, "det"),
+        (2, "dogs", "dog", "NOUN", 3, "nsubj"),
+        (3, "bark", "bark", "VERB", 0, "root"),
+    ]
+    universal = QuantifierProfile(("zorp",), DOWN, UP, "universal")
+
+    def marks(lex):
+        graph = graph_of(rows)
+        tree = binarize(graph)
+        polarize(tree, lex)
+        return render_inline(project_to_tokens(tree, graph))
+
+    early = load_lexicon()
+    early.quantifiers[("zorp",)] = universal
+    assert marks(early) == "zorp↑ dogs↓ bark↑"
+    late = load_lexicon()
+    assert marks(late) == "zorp↑ dogs↑ bark↑"  # no row: the noun keeps ↑
+    late.quantifiers[("zorp",)] = universal
+    assert marks(late) == "zorp↑ dogs↑ bark↑"
+
+
 # the words of the random tables and spans: numerals in digits and in
 # words, and other words, any of which a span may tag NUM; "n" in a
 # surface stands for any NUM token
@@ -213,17 +237,37 @@ def test_phrase_walk_matches_reference_profile():
 
 # ------------------------------------------------------- implicatives
 
+def complement_mark(lexicon, lemma):
+    """The mark polarize gives `go` in "they <lemma> to go": a downward
+    implicative negates its complement (↓), another verb leaves it ↑."""
+    graph = graph_of(
+        [
+            (1, "they", "they", "PRON", 2, "nsubj"),
+            (2, "verbed", lemma, "VERB", 0, "root"),
+            (3, "to", "to", "PART", 4, "mark"),
+            (4, "go", "go", "VERB", 2, "xcomp"),
+        ]
+    )
+    tree = binarize(graph)
+    polarize(tree, lexicon)
+    return project_to_tokens(tree, graph).tokens[3][1]
+
+
 def test_refuse_is_downward(lexicon):
-    assert is_downward_operator("refuse", lexicon)
+    assert lexicon.implicatives["refuse"] is True
+    assert complement_mark(lexicon, "refuse") is DOWN
 
 
 def test_eat_is_not_downward(lexicon):
-    assert not is_downward_operator("eat", lexicon)
+    assert "eat" not in lexicon.implicatives
+    assert complement_mark(lexicon, "eat") is UP
 
 
 def test_forget_is_downward(lexicon):
-    assert is_downward_operator("forget", lexicon)
-    assert is_downward_operator("Forget", lexicon)
+    assert lexicon.implicatives["forget"] is True
+    # the table's lemmas are lowercase, and the rule lowercases the lemma
+    assert complement_mark(lexicon, "forget") is DOWN
+    assert complement_mark(lexicon, "Forget") is DOWN
 
 
 # ------------------------------------------------------- loading
@@ -322,9 +366,10 @@ def test_implicative_user_file_extends_defaults(tmp_path):
     extra = tmp_path / "imp.tsv"
     extra.write_text("hesitate\tdownward\nmanage\tupward\n", encoding="utf-8")
     lex = load_lexicon(implicative_paths=[extra])
-    assert is_downward_operator("hesitate", lex)
-    assert not is_downward_operator("manage", lex)
-    assert is_downward_operator("refuse", lex)
+    assert (lex.implicatives["hesitate"], lex.implicatives["manage"]) == (True, False)
+    assert complement_mark(lex, "hesitate") is DOWN
+    assert complement_mark(lex, "manage") is UP
+    assert complement_mark(lex, "refuse") is DOWN
 
 
 @pytest.mark.parametrize(
